@@ -35,12 +35,26 @@ type ResultStore interface {
 // with equal keys are the same simulation: fleet coordinators shard and
 // deduplicate dispatches by this key.
 func JobKey(j Job) (string, bool) {
-	k, ok := memoizable(j)
+	id, ok := JobID(j)
 	if !ok {
 		return "", false
 	}
-	return k.keyString(), true
+	return id.String(), true
 }
+
+// RunID is a memoizable job's canonical identity as a comparable value, for
+// deduplicating runs without rendering their string keys: two jobs with
+// equal RunIDs are the same simulation.
+type RunID struct{ k runKey }
+
+// JobID returns j's RunID and whether j is memoizable at all.
+func JobID(j Job) (RunID, bool) {
+	k, ok := memoizable(j)
+	return RunID{k}, ok
+}
+
+// String is the canonical run key JobKey returns.
+func (id RunID) String() string { return id.k.keyString() }
 
 // DirStore is the ResultStore the engine has always used, made pluggable: a
 // directory of content-addressed JSON entries whose filenames are the

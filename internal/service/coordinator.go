@@ -8,14 +8,17 @@ import (
 	"net/http"
 	"time"
 
-	"dspatch/internal/experiments"
 	"dspatch/internal/sim"
 	"dspatch/internal/sweep"
 	"dspatch/internal/trace"
 )
 
-// The coordinator executes a campaign across a fleet of worker daemons.
-// Execution is organized around three invariants:
+// The coordinator executes a campaign's runs across a fleet of worker
+// daemons. The campaign lifecycle — the Recorder, deduplication into runs,
+// journal replay, the shared-store pre-pass, store-before-journal
+// completion, drops and the seal — is sweep.Engine's, exactly as for a
+// local run; the coordinator is the sweep.Executor that turns pending runs
+// into results. Execution is organized around three invariants:
 //
 //  1. Stream bytes are a pure function of the spec. All results — whatever
 //     worker produced them, in whatever order, after however many retries —
@@ -25,8 +28,8 @@ import (
 //  2. One failure path. Worker HTTP errors, 503 sheds, lease expiries and
 //     dead workers all funnel into sweep.Dispatcher.Fail: the run returns to
 //     the pending set behind a backoff gate and is re-dispatched elsewhere,
-//     until MaxAttempts is exhausted and the point is dropped WITH a reason
-//     into the summary. Nothing is lost silently, and nothing wedges.
+//     until MaxAttempts is exhausted and the run's points are dropped WITH a
+//     reason into the summary. Nothing is lost silently, and nothing wedges.
 //  3. The dispatch unit is the deduplicated simulation run, not the point:
 //     a baseline shared by thirty points is dispatched once, and the shared
 //     result store (FleetConfig.StoreDir) extends that dedup across
@@ -38,33 +41,12 @@ const (
 	classShed         = "worker shed (503)"
 )
 
-// fleetRun is one deduplicated simulation the fleet must produce, and the
-// point positions waiting on it.
-type fleetRun struct {
-	key     string
-	spec    sweep.Point
-	res     *sim.Result
-	waiters []runWaiter
-	// durable marks the result as present in the shared store (pre-pass hit
-	// or successful Put) — the precondition for journaling a completion
-	// that references it.
-	durable bool
-	// dspec caches the over-the-wire form of spec: the point with the
-	// defining scenario specs of its non-builtin workloads attached, so
-	// workers can resolve names the coordinator registered locally.
-	dspec *sweep.Point
-}
-
 // dispatchSpec returns the point to send to a worker. Campaign point records
 // stay spec-free (recorded streams are a pure function of the campaign), but
 // the dispatched copy must be self-contained: spec-sourced workloads travel
 // as their defining spec, imported traces as inline DSPTRC01 bytes, and
-// builtin names need nothing. Computed once per run; retries reuse it.
-func (r *fleetRun) dispatchSpec() (sweep.Point, error) {
-	if r.dspec != nil {
-		return *r.dspec, nil
-	}
-	sp := r.spec
+// builtin names need nothing.
+func dispatchSpec(sp sweep.Point) (sweep.Point, error) {
 	var scens []trace.ScenarioSpec
 	seen := map[string]bool{}
 	for _, name := range sp.Workloads {
@@ -81,13 +63,7 @@ func (r *fleetRun) dispatchSpec() (sweep.Point, error) {
 		}
 	}
 	sp.Scenarios = scens
-	r.dspec = &sp
 	return sp, nil
-}
-
-type runWaiter struct {
-	pos  int
-	base bool
 }
 
 type dispatchEvent struct {
@@ -98,194 +74,35 @@ type dispatchEvent struct {
 	fault  bool   // count the failure against the worker's health
 }
 
-// runFleetCampaign executes camp across s.fleet's workers, emitting the
-// canonical NDJSON stream through emit. jl, when non-nil, receives the
-// write-ahead record of every terminal point event (after its results are
-// durable in the shared store) plus the sealed summary; resume, when
-// non-nil, is a recovered journal's state — journaled completions replay
-// from the store with zero dispatches and only unfinished points enter the
-// dispatcher.
-func (s *Server) runFleetCampaign(ctx context.Context, camp sweep.Campaign, emit func(json.RawMessage) error, jl *sweep.Journal, resume *sweep.JournalState) (sweep.Summary, error) {
+// executeOnFleet is the fleet's sweep.Executor: it dispatches a campaign's
+// pending runs to s.fleet's workers under leases, retries failures through
+// the Dispatcher, and drops a run's points once its attempts are exhausted.
+func (s *Server) executeOnFleet(ctx context.Context, rs *sweep.Runs) (*sweep.FleetSummary, error) {
 	cfg := *s.fleet
-	rec, err := sweep.NewRecorder(camp, emit)
-	if err != nil {
-		return sweep.Summary{}, err
-	}
-
-	// Deduplicate the campaign into runs: every point's own simulation plus
-	// its baseline partner, keyed by the canonical run key.
-	var runs []*fleetRun
-	runAt := map[string]int{}
-	posSelf := make([]int, rec.Len())
-	posBase := make([]int, rec.Len())
-	addRun := func(p sweep.Point, pos int, base bool) int {
-		key, ok := experiments.JobKey(p.Job())
-		if !ok {
-			// Campaign validation rejects non-memoizable points; belt and
-			// braces with a structural key.
-			b, _ := json.Marshal(p)
-			key = "raw:" + string(b)
-		}
-		id, seen := runAt[key]
-		if !seen {
-			id = len(runs)
-			runAt[key] = id
-			runs = append(runs, &fleetRun{key: key, spec: p})
-		}
-		runs[id].waiters = append(runs[id].waiters, runWaiter{pos: pos, base: base})
-		return id
-	}
-	posNeed := make([]int, rec.Len())
-	for pos := 0; pos < rec.Len(); pos++ {
-		self, base, hasBase := rec.Pair(pos)
-		posSelf[pos] = addRun(self, pos, false)
-		posBase[pos] = -1
-		posNeed[pos] = 1
-		if hasBase {
-			posBase[pos] = addRun(base, pos, true)
-			if posBase[pos] != posSelf[pos] {
-				posNeed[pos] = 2
-			}
-		}
-	}
-
-	posDropped := make([]bool, rec.Len())
-	posResolved := make([]bool, rec.Len()) // settled by journal replay; never touched again
-	remaining := rec.Len()
-
-	// journalDone appends a point's terminal frame, degrading on the first
-	// append error: the campaign keeps running, it just stops being
-	// resumable past that event. The journal only claims results the store
-	// durably holds (both runs' durable flags), so a replay either finds
-	// them or safely re-runs the point.
-	journalDone := func(pos int) {
-		if jl == nil {
-			return
-		}
-		selfRun := runs[posSelf[pos]]
-		baseKey := ""
-		if posBase[pos] >= 0 && posBase[pos] != posSelf[pos] {
-			baseRun := runs[posBase[pos]]
-			if !baseRun.durable {
-				return
-			}
-			baseKey = baseRun.key
-		}
-		if !selfRun.durable {
-			return
-		}
-		if err := jl.Done(pos, selfRun.key, baseKey); err != nil {
-			s.cfg.Logf("fleet: campaign journal degraded, run no longer resumable: %v", err)
-			jl = nil
-		}
-	}
-
-	// completeRun delivers a run's result to every waiting position and
-	// emits the records that become flushable.
-	completeRun := func(r *fleetRun, res *sim.Result) error {
-		r.res = res
-		for _, wt := range r.waiters {
-			if posDropped[wt.pos] || posResolved[wt.pos] {
-				continue
-			}
-			posNeed[wt.pos]--
-			if posNeed[wt.pos] > 0 {
-				continue
-			}
-			var basep *sim.Result
-			if posBase[wt.pos] >= 0 && posBase[wt.pos] != posSelf[wt.pos] {
-				basep = runs[posBase[wt.pos]].res
-			}
-			if err := rec.Complete(wt.pos, *runs[posSelf[wt.pos]].res, basep); err != nil {
-				return err
-			}
-			journalDone(wt.pos)
-			remaining--
-		}
-		return nil
-	}
-	// dropRun abandons every position waiting on the run, with a reason.
-	dropRun := func(r *fleetRun, reason string) error {
-		for _, wt := range r.waiters {
-			if posDropped[wt.pos] || posResolved[wt.pos] {
-				continue
-			}
-			posDropped[wt.pos] = true
-			if err := rec.Drop(wt.pos, reason); err != nil {
-				return err
-			}
-			if jl != nil {
-				if err := jl.Drop(wt.pos, reason); err != nil {
-					s.cfg.Logf("fleet: campaign journal degraded, run no longer resumable: %v", err)
-					jl = nil
-				}
-			}
-			remaining--
-		}
-		return nil
-	}
-
-	// The shared result store: the server's durable store (Config.StoreDir,
-	// adopted from FleetConfig.StoreDir when only that is set).
-	store := s.store
-
-	// Journal replay: terminal events from a pre-crash incarnation settle
-	// their positions straight from the store — zero dispatches, zero
-	// simulations — before anything is deduplicated into the pending set.
-	if resume != nil && store != nil {
-		replayed, err := resume.Replay(rec, store)
-		if err != nil {
-			return sweep.Summary{}, err
-		}
-		for pos, ok := range replayed {
-			if ok {
-				posResolved[pos] = true
-				remaining--
-			}
-		}
-	}
-
-	// Shared result store pre-pass: runs already present are resolved
-	// without a dispatch. A torn or corrupt entry reads as a miss and the
-	// run is simulated again — the store is never trusted blindly. Runs
-	// every waiter of which was settled by the journal replay are skipped
-	// outright.
-	var storeHits uint64
-	var pendingRuns []int // run ids needing dispatch
-	for id, r := range runs {
-		needed := false
-		for _, wt := range r.waiters {
-			if !posResolved[wt.pos] && !posDropped[wt.pos] {
-				needed = true
-				break
-			}
-		}
-		if !needed {
-			continue
-		}
-		if store != nil {
-			if res, ok := store.Get(r.key); ok {
-				storeHits++
-				r.durable = true
-				resCopy := res
-				if err := completeRun(r, &resCopy); err != nil {
-					return sweep.Summary{}, err
-				}
-				continue
-			}
-		}
-		pendingRuns = append(pendingRuns, id)
-	}
-
-	keys := make([]string, len(pendingRuns))
-	for i, id := range pendingRuns {
-		keys[i] = runs[id].key
+	keys := make([]string, rs.Len())
+	for i := range keys {
+		keys[i] = rs.Key(i)
 	}
 	disp := sweep.NewDispatcher(keys, sweep.DispatchConfig{
 		MaxAttempts: cfg.MaxAttempts,
 		LeaseTTL:    cfg.LeaseTTL,
 		Seed:        cfg.DispatchSeed,
 	})
+	// Over-the-wire specs, built on first dispatch; retries reuse them.
+	specs := make([]*sweep.Point, rs.Len())
+	// fail is the one failure path: the run goes back to the pending set
+	// while attempts remain, else its points drop with the reason.
+	fail := func(dpos int, class string, now time.Time) error {
+		if disp.Fail(dpos, now) {
+			s.pointsRedispatched.Add(1)
+			s.cfg.Logf("fleet: re-dispatching %s after %q (attempt %d)",
+				shortKey(keys[dpos]), class, disp.Attempts(dpos))
+			return nil
+		}
+		reason := fmt.Sprintf("max attempts (%d) exhausted: %s", cfg.MaxAttempts, class)
+		s.cfg.Logf("fleet: dropping %s: %s", shortKey(keys[dpos]), reason)
+		return rs.Drop(dpos, reason)
+	}
 
 	pool := newWorkerPool(cfg)
 	onEject := func(url string) {
@@ -347,23 +164,20 @@ func (s *Server) runFleetCampaign(ctx context.Context, camp sweep.Campaign, emit
 			if !ok {
 				return wake, nil
 			}
-			r := runs[pendingRuns[dpos]]
-			sp, serr := r.dispatchSpec()
-			if serr != nil {
-				// The run cannot be made self-contained (e.g. an imported trace
-				// over the forwarding size limit): burn attempts through the
-				// unified failure path so the point drops with a reason.
-				disp.Lease(dpos, "(local)", now)
-				class := "unforwardable workload: " + serr.Error()
-				if disp.Fail(dpos, class, now) {
-					s.pointsRedispatched.Add(1)
+			if specs[dpos] == nil {
+				sp, err := dispatchSpec(rs.Point(dpos))
+				if err != nil {
+					// The run cannot be made self-contained (e.g. an imported
+					// trace over the forwarding size limit): burn attempts
+					// through the unified failure path so the point drops
+					// with a reason.
+					disp.Lease(dpos, "(local)", now)
+					if err := fail(dpos, "unforwardable workload: "+err.Error(), now); err != nil {
+						return wake, err
+					}
 					continue
 				}
-				reason := fmt.Sprintf("max attempts (%d) exhausted: %s", cfg.MaxAttempts, class)
-				if err := dropRun(r, reason); err != nil {
-					return wake, err
-				}
-				continue
+				specs[dpos] = &sp
 			}
 			w := pool.pick(disp.LastWorker(dpos))
 			if w == nil {
@@ -382,29 +196,24 @@ func (s *Server) runFleetCampaign(ctx context.Context, camp sweep.Campaign, emit
 					return wake, nil
 				}
 				disp.Lease(dpos, "(no worker)", now)
-				if disp.Fail(dpos, "no healthy workers", now) {
-					s.pointsRedispatched.Add(1)
-					continue
-				}
-				reason := fmt.Sprintf("max attempts (%d) exhausted: no healthy workers", cfg.MaxAttempts)
-				if err := dropRun(r, reason); err != nil {
+				if err := fail(dpos, "no healthy workers", now); err != nil {
 					return wake, err
 				}
 				continue
 			}
 			noWorkerSince = time.Time{}
 			deadline := disp.Lease(dpos, w.url, now)
-			go dispatchRun(ctx, deadline, w, sp, dpos, events)
+			go dispatchRun(ctx, deadline, w, *specs[dpos], dpos, events)
 		}
 	}
 
-	for remaining > 0 {
+	for rs.Open() > 0 {
 		if err := ctx.Err(); err != nil {
-			return sweep.Summary{}, err
+			return nil, err
 		}
 		wake, err := tryDispatch(time.Now())
 		if err != nil {
-			return sweep.Summary{}, err
+			return nil, err
 		}
 		var wakeC <-chan time.Time
 		if !wake.IsZero() {
@@ -421,16 +230,8 @@ func (s *Server) runFleetCampaign(ctx context.Context, camp sweep.Campaign, emit
 			if ev.class == "" {
 				pool.reportSuccess(ev.worker)
 				if disp.Complete(ev.dpos) {
-					r := runs[pendingRuns[ev.dpos]]
-					if store != nil {
-						// Best-effort — a failed store write degrades the next
-						// campaign's dedup, never this one's results — but it
-						// must happen before completeRun: the journal frame
-						// written there may only reference durable results.
-						r.durable = store.Put(r.key, *ev.res) == nil
-					}
-					if err := completeRun(r, ev.res); err != nil {
-						return sweep.Summary{}, err
+					if err := rs.Complete(ev.dpos, *ev.res); err != nil {
+						return nil, err
 					}
 				}
 				continue
@@ -447,17 +248,8 @@ func (s *Server) runFleetCampaign(ctx context.Context, camp sweep.Campaign, emit
 					onEject(ev.worker.url)
 				}
 			}
-			if disp.Fail(ev.dpos, ev.class, now) {
-				s.pointsRedispatched.Add(1)
-				s.cfg.Logf("fleet: re-dispatching %s after %q (attempt %d)",
-					shortKey(runs[pendingRuns[ev.dpos]].key), ev.class, disp.Attempts(ev.dpos))
-				continue
-			}
-			r := runs[pendingRuns[ev.dpos]]
-			reason := fmt.Sprintf("max attempts (%d) exhausted: %s", cfg.MaxAttempts, ev.class)
-			s.cfg.Logf("fleet: dropping %s: %s", shortKey(r.key), reason)
-			if err := dropRun(r, reason); err != nil {
-				return sweep.Summary{}, err
+			if err := fail(ev.dpos, ev.class, now); err != nil {
+				return nil, err
 			}
 		case <-probeTick.C:
 			if !probing {
@@ -473,31 +265,19 @@ func (s *Server) runFleetCampaign(ctx context.Context, camp sweep.Campaign, emit
 			reloadMembership(time.Now())
 		case <-wakeC:
 		case <-ctx.Done():
-			return sweep.Summary{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 
 	dc := disp.Counters()
-	sum, err := rec.Finish(&sweep.FleetSummary{
+	return &sweep.FleetSummary{
 		Workers:        pool.memberCount(),
 		Dispatches:     dc.Dispatches,
 		Redispatches:   dc.Redispatches,
 		LeasesExpired:  leases,
 		ShedRejections: sheds,
 		WorkersEjected: pool.ejectedTotal(),
-		StoreHits:      storeHits,
-	})
-	if err != nil {
-		return sweep.Summary{}, err
-	}
-	if jl != nil {
-		if b, merr := json.Marshal(sum); merr == nil {
-			if err := jl.Seal(b); err != nil {
-				s.cfg.Logf("fleet: campaign journal seal failed: %v", err)
-			}
-		}
-	}
-	return sum, nil
+	}, nil
 }
 
 // dispatchRun executes one leased run on one worker under the lease

@@ -845,24 +845,22 @@ func (s *Server) execute(ctx context.Context, j *job) (result, resultStats json.
 		if jl != nil {
 			defer jl.Close()
 		}
-		var sum sweep.Summary
-		runCampaign := func() error {
-			var err error
-			if s.fleet != nil {
-				sum, err = s.runFleetCampaign(ctx, *j.camp, emit, jl, resume)
-				return err
-			}
-			eng := sweep.Engine{
-				Workers: s.cfg.SimWorkers,
-				Journal: jl,
-				Store:   s.store,
-				Resume:  resume,
-				Logf:    s.cfg.Logf,
-			}
-			sum, err = eng.Run(ctx, *j.camp, emit)
-			return err
+		// One campaign lifecycle for both modes; a coordinator only supplies
+		// remote execution of the runs.
+		eng := sweep.Engine{
+			Workers: s.cfg.SimWorkers,
+			Journal: jl,
+			Store:   s.store,
+			Resume:  resume,
+			Logf:    s.cfg.Logf,
 		}
-		if err := runCampaign(); err != nil {
+		var sum sweep.Summary
+		if s.fleet != nil {
+			sum, err = eng.RunWith(ctx, *j.camp, emit, s.executeOnFleet)
+		} else {
+			sum, err = eng.Run(ctx, *j.camp, emit)
+		}
+		if err != nil {
 			// A user cancel (or a deterministic failure) must not resurrect
 			// forever on every restart; only a drain/hard-stop cancel — the
 			// restart case — keeps the journal for resume.

@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 )
 
@@ -65,20 +64,11 @@ type DispatchCounters struct {
 	Drops        uint64 // positions abandoned after MaxAttempts
 }
 
-// A DroppedPos reports a position abandoned after exhausting its attempts,
-// carrying the final failure reason.
-type DroppedPos struct {
-	Pos      int
-	Reason   string
-	Attempts int
-}
-
 type dispatchEntry struct {
 	state      int
 	attempts   int       // dispatches consumed so far
 	readyAt    time.Time // earliest next dispatch (backoff gate)
 	lastWorker string
-	reason     string // final failure reason once dropped
 }
 
 // Dispatcher tracks positions 0..n-1 through dispatch, retry, and drop.
@@ -88,7 +78,6 @@ type Dispatcher struct {
 	cfg     DispatchConfig
 	keys    []string // canonical per-position keys; jitter input
 	entries []dispatchEntry
-	open    int // positions not yet done or dropped
 	ctr     DispatchCounters
 }
 
@@ -100,7 +89,6 @@ func NewDispatcher(keys []string, cfg DispatchConfig) *Dispatcher {
 		cfg:     cfg.withDefaults(),
 		keys:    keys,
 		entries: make([]dispatchEntry, len(keys)),
-		open:    len(keys),
 	}
 }
 
@@ -147,7 +135,6 @@ func (d *Dispatcher) Complete(pos int) bool {
 		return false
 	}
 	e.state = stateDone
-	d.open--
 	return true
 }
 
@@ -155,17 +142,15 @@ func (d *Dispatcher) Complete(pos int) bool {
 // lease expiry; the dispatcher doesn't care which, that's the unified
 // failure path. With attempts left the position returns to the pending set
 // behind a backoff gate and Fail reports retry=true; otherwise it is
-// dropped with reason. Failing an already-resolved position is a no-op.
-func (d *Dispatcher) Fail(pos int, reason string, now time.Time) (retry bool) {
+// dropped. Failing an already-resolved position is a no-op.
+func (d *Dispatcher) Fail(pos int, now time.Time) (retry bool) {
 	e := &d.entries[pos]
 	if e.state != stateLeased {
 		return false
 	}
 	if e.attempts >= d.cfg.MaxAttempts {
 		e.state = stateDropped
-		e.reason = reason
 		d.ctr.Drops++
-		d.open--
 		return false
 	}
 	e.state = stateReady
@@ -199,27 +184,5 @@ func (d *Dispatcher) LastWorker(pos int) string { return d.entries[pos].lastWork
 // Attempts reports how many dispatches pos has consumed.
 func (d *Dispatcher) Attempts(pos int) int { return d.entries[pos].attempts }
 
-// Leased reports whether pos is currently held by a worker.
-func (d *Dispatcher) Leased(pos int) bool { return d.entries[pos].state == stateLeased }
-
-// Done reports whether every position is resolved (completed or dropped).
-func (d *Dispatcher) Done() bool { return d.open == 0 }
-
-// Open reports how many positions are still unresolved.
-func (d *Dispatcher) Open() int { return d.open }
-
 // Counters returns the dispatch telemetry accumulated so far.
 func (d *Dispatcher) Counters() DispatchCounters { return d.ctr }
-
-// Dropped lists abandoned positions in position order.
-func (d *Dispatcher) Dropped() []DroppedPos {
-	var out []DroppedPos
-	for i := range d.entries {
-		e := &d.entries[i]
-		if e.state == stateDropped {
-			out = append(out, DroppedPos{Pos: i, Reason: e.reason, Attempts: e.attempts})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	return out
-}

@@ -29,8 +29,8 @@ func TestDispatcherHappyPath(t *testing.T) {
 			t.Fatalf("Complete(%d) = false", pos)
 		}
 	}
-	if !d.Done() || d.Open() != 0 {
-		t.Fatalf("Done = %v, Open = %d after completing all", d.Done(), d.Open())
+	if pos, ok, wake := d.Next(now); ok || !wake.IsZero() {
+		t.Fatalf("Next = (%d, %v, %v) after completing all, want nothing pending", pos, ok, wake)
 	}
 	c := d.Counters()
 	if c.Dispatches != 3 || c.Redispatches != 0 || c.Drops != 0 {
@@ -63,7 +63,7 @@ func TestDispatcherRetryThenDrop(t *testing.T) {
 		if got := d.Attempts(pos); got != attempt {
 			t.Fatalf("Attempts = %d, want %d", got, attempt)
 		}
-		retry := d.Fail(pos, "worker error", now)
+		retry := d.Fail(pos, now)
 		if attempt < 3 && !retry {
 			t.Fatalf("attempt %d: Fail reported no retry with attempts left", attempt)
 		}
@@ -71,12 +71,16 @@ func TestDispatcherRetryThenDrop(t *testing.T) {
 			t.Fatalf("attempt 3: Fail reported retry past MaxAttempts")
 		}
 	}
-	if !d.Done() {
-		t.Fatal("not Done after drop")
+	// Dropped is terminal: nothing pending, no backoff gate, and a late
+	// result or failure for the position changes nothing.
+	if pos, ok, wake := d.Next(now.Add(time.Hour)); ok || !wake.IsZero() {
+		t.Fatalf("Next = (%d, %v, %v) after drop, want nothing pending", pos, ok, wake)
 	}
-	drops := d.Dropped()
-	if len(drops) != 1 || drops[0].Pos != 0 || drops[0].Reason != "worker error" || drops[0].Attempts != 3 {
-		t.Fatalf("Dropped = %+v", drops)
+	if d.Complete(0) || d.Fail(0, now) {
+		t.Fatal("dropped position accepted a late Complete/Fail")
+	}
+	if got := d.Attempts(0); got != 3 {
+		t.Fatalf("Attempts after drop = %d, want 3", got)
 	}
 	c := d.Counters()
 	if c.Dispatches != 3 || c.Redispatches != 2 || c.Drops != 1 {
@@ -101,7 +105,7 @@ func TestDispatcherBackoffBoundsAndDeterminism(t *testing.T) {
 				continue
 			}
 			d.Lease(pos, "w0", now)
-			d.Fail(pos, "kill", now)
+			d.Fail(pos, now)
 		}
 		return gaps
 	}
@@ -146,7 +150,7 @@ func TestDispatcherLateResultAfterExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	pos, _, _ := d.Next(now)
 	d.Lease(pos, "w0", now)
-	if retry := d.Fail(pos, "lease expired", now); !retry {
+	if retry := d.Fail(pos, now); !retry {
 		t.Fatal("first failure should retry")
 	}
 	now = now.Add(time.Second)
@@ -165,11 +169,14 @@ func TestDispatcherLateResultAfterExpiry(t *testing.T) {
 	if d.Complete(pos) {
 		t.Fatal("double Complete accepted")
 	}
-	if d.Fail(pos, "late error", now) {
+	if d.Fail(pos, now) {
 		t.Fatal("Fail after completion reported retry")
 	}
-	if !d.Done() || d.Counters().Drops != 0 {
-		t.Fatalf("Done=%v drops=%d after late no-ops", d.Done(), d.Counters().Drops)
+	if _, ok, wake := d.Next(now.Add(time.Hour)); ok || !wake.IsZero() {
+		t.Fatal("completed position still pending after late no-ops")
+	}
+	if c := d.Counters(); c.Dispatches != 2 || c.Redispatches != 1 || c.Drops != 0 {
+		t.Fatalf("counters = %+v after late no-ops, want 2/1/0", c)
 	}
 }
 
@@ -179,7 +186,7 @@ func TestDispatcherNextPrefersLowestReady(t *testing.T) {
 	// Lease 0 and fail it (backing off an hour); 1 and 2 stay ready.
 	pos, _, _ := d.Next(now)
 	d.Lease(pos, "w0", now)
-	d.Fail(pos, "err", now)
+	d.Fail(pos, now)
 	pos, ok, _ := d.Next(now)
 	if !ok || pos != 1 {
 		t.Fatalf("Next = (%d, %v), want (1, true)", pos, ok)

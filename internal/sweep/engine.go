@@ -139,8 +139,8 @@ type Summary struct {
 }
 
 // Recorder turns completed point results into the campaign's canonical
-// NDJSON stream. It is the single authority on stream bytes: the local
-// engine and the fleet coordinator both feed results through a Recorder (in
+// NDJSON stream. It is the single authority on stream bytes: Engine feeds
+// it every result, whether a local batch or a fleet worker produced it (in
 // whatever order execution happens to finish them), and the Recorder
 // buffers, aggregates and emits strictly in canonical index order — which
 // is why a campaign run through a flaky fleet is byte-identical to a local
@@ -205,12 +205,6 @@ func NewRecorder(c Campaign, emit func(json.RawMessage) error) (*Recorder, error
 
 // Len is the number of points the campaign will emit.
 func (r *Recorder) Len() int { return len(r.pts) }
-
-// Points exposes the expanded points in canonical position order.
-func (r *Recorder) Points() []Point { return r.pts }
-
-// BaselineL2 is the designated baseline prefetcher.
-func (r *Recorder) BaselineL2() string { return r.bl }
 
 // Pair returns position pos's own point and, for non-baseline points, the
 // baseline partner whose result its speedup is computed against.
@@ -375,27 +369,27 @@ func (r *Recorder) Finish(fleet *FleetSummary) (Summary, error) {
 	return sum, nil
 }
 
-// Engine executes campaigns on the process-shared experiment engine.
-// The zero value is ready to use.
+// Engine executes campaigns. It owns a campaign's whole lifecycle — the
+// Recorder, deduplication into runs, journal replay, the result-store
+// pre-pass, the durable completion order, drops and the seal — for local
+// and fleet campaigns alike; only how a pending run gets its result differs
+// (see Executor). The zero value is ready to use.
 type Engine struct {
-	// Workers is the simulation parallelism per batch (0 = GOMAXPROCS).
+	// Workers is the simulation parallelism per local batch (0 = GOMAXPROCS).
 	Workers int
-	// BatchSize bounds how many points are in flight per experiments.RunJobs
-	// call — the streaming granularity (0 = a multiple of Workers). Results
-	// are identical at any batch size.
-	BatchSize int
 
 	// Journal, when non-nil, receives a durable record of every terminal
 	// point event and the final sealed summary, making the campaign
 	// crash-recoverable. Requires Store: the journal references results by
 	// store key and only claims a point after its results are in the store.
 	Journal *Journal
-	// Store is the ResultStore journaled completions are persisted to and
-	// rehydrated from.
+	// Store, when non-nil, is the ResultStore runs are looked up in before
+	// they execute, persisted to once they complete, and rehydrated from on
+	// resume.
 	Store experiments.ResultStore
 	// Resume, when non-nil, is a recovered journal's state: journaled
 	// completions replay from Store with zero simulations and only the
-	// unfinished tail runs.
+	// unfinished tail runs. Requires Store.
 	Resume *JournalState
 	// Logf, when non-nil, receives degradation notices (a failing journal
 	// or store stops being written to, never fails the campaign).
@@ -408,47 +402,51 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
+// batchSize is how many points' runs go into one local RunJobs call — the
+// streaming granularity. Results are identical at any batch size.
 func (e *Engine) batchSize() int {
-	if e.BatchSize > 0 {
-		return e.BatchSize
-	}
 	w := e.Workers
 	if w <= 0 {
 		w = 8
 	}
-	b := 4 * w
-	if b < 16 {
-		b = 16
-	}
-	if b > 256 {
-		b = 256
-	}
-	return b
+	return min(max(4*w, 16), 256)
 }
 
-// Run expands c and simulates every point, calling emit with each marshaled
-// NDJSON record (header, points in index order, summary) as it becomes
-// available. Batches of points flow through experiments.RunJobs, so every
-// point shares the engine's memo and persistent disk cache with every other
-// front end — a resubmitted campaign re-simulates only points the caches
-// have never seen. A non-nil error from emit or ctx aborts the campaign.
+// An Executor produces the results of a campaign's pending runs, reporting
+// each through rs.Complete or rs.Drop, and returns once rs.Open() reaches
+// zero. It never touches the Recorder, journal or store: Engine owns them.
+// The FleetSummary it returns, when non-nil, is attached to the campaign
+// summary as coordinator telemetry.
+type Executor func(ctx context.Context, rs *Runs) (*FleetSummary, error)
+
+// Run expands c and executes every point locally, calling emit with each
+// marshaled NDJSON record (header, points in index order, summary) as it
+// becomes available. Batches of runs flow through experiments.RunJobs, so
+// every point shares the engine's memo and persistent disk cache with every
+// other front end — a resubmitted campaign re-simulates only points the
+// caches have never seen. A non-nil error from emit or ctx aborts the
+// campaign.
 func (e *Engine) Run(ctx context.Context, c Campaign, emit func(json.RawMessage) error) (Summary, error) {
-	if e.Journal != nil && e.Store == nil {
+	return e.RunWith(ctx, c, emit, e.runLocal)
+}
+
+// RunWith is Run with the pending runs executed by exec instead of the
+// local engine — the fleet coordinator's hook.
+func (e *Engine) RunWith(ctx context.Context, c Campaign, emit func(json.RawMessage) error, exec Executor) (Summary, error) {
+	if (e.Journal != nil || e.Resume != nil) && e.Store == nil {
 		return Summary{}, fmt.Errorf("sweep: journaled campaign needs a result store")
 	}
 	rec, err := NewRecorder(c, emit)
 	if err != nil {
 		return Summary{}, err
 	}
-	pts := rec.Points()
 
 	// Resume: journaled terminal events replay through the Recorder before
 	// anything is scheduled — completions rehydrate from the store with zero
 	// simulations, drops re-drop, and only the unresolved tail runs below.
 	var resolved []bool
 	if e.Resume != nil {
-		resolved, err = e.Resume.Replay(rec, e.Store)
-		if err != nil {
+		if resolved, err = e.Resume.replay(rec, e.Store); err != nil {
 			return Summary{}, err
 		}
 	}
@@ -459,118 +457,257 @@ func (e *Engine) Run(ctx context.Context, c Campaign, emit func(json.RawMessage)
 	// a single trace walk. Only scheduling changes: the Recorder emits (and
 	// accumulates every float aggregate) strictly in index order, so the
 	// NDJSON stream is byte-identical either way.
-	order := make([]int, len(pts))
+	order := make([]int, rec.Len())
 	for i := range order {
 		order[i] = i
 	}
 	if experiments.BatchingEnabled() {
-		order = groupedOrder(pts)
+		order = groupedOrder(rec.pts)
 	}
-	if resolved != nil {
-		kept := order[:0]
-		for _, pos := range order {
-			if !resolved[pos] {
-				kept = append(kept, pos)
-			}
-		}
-		order = kept
-	}
+	rs := newRuns(e, rec, order, resolved)
 
-	// The journal claims a point only once its results are durable: Put to
-	// the store, then append the done frame, then let the Recorder emit. A
-	// failing store or journal degrades — the campaign keeps running, it
-	// just stops being resumable from that event on.
-	jl, store := e.Journal, e.Store
-	stored := map[string]bool{}
-	putJob := func(j experiments.Job, res sim.Result) (string, bool) {
-		if store == nil {
-			return "", false
-		}
-		key, ok := experiments.JobKey(j)
-		if !ok {
-			return "", false
-		}
-		if !stored[key] {
-			if err := store.Put(key, res); err != nil {
-				e.logf("campaign store degraded, results no longer durable: %v", err)
-				store = nil
-				return "", false
-			}
-			stored[key] = true
-		}
-		return key, true
-	}
-
-	B := e.batchSize()
-	for lo := 0; lo < len(order); lo += B {
-		hi := lo + B
-		if hi > len(order) {
-			hi = len(order)
-		}
-		// One RunJobs batch: each point's own job plus its baseline partner,
-		// deduplicated within the batch. Cross-batch repeats (the same
-		// baseline needed again later) are free memo hits.
-		jobs := make([]experiments.Job, 0, 2*(hi-lo))
-		at := map[string]int{}
-		add := func(p Point) int {
-			k := pointKey(p)
-			if i, ok := at[k]; ok {
-				return i
-			}
-			at[k] = len(jobs)
-			jobs = append(jobs, p.Job())
-			return len(jobs) - 1
-		}
-		type slot struct{ self, base int }
-		slots := make([]slot, hi-lo)
-		for i, pos := range order[lo:hi] {
-			self, base, hasBase := rec.Pair(pos)
-			if !hasBase {
-				slots[i] = slot{self: add(self), base: -1}
+	// Store pre-pass: runs the store already holds complete without
+	// executing. A torn or corrupt entry reads as a miss and the run
+	// executes again — the store is never trusted blindly.
+	var storeHits uint64
+	pending := rs.pending[:0]
+	for _, r := range rs.pending {
+		if r.storable && rs.store != nil {
+			if res, ok := rs.store.Get(r.runKey()); ok {
+				storeHits++
+				r.durable = true
+				if err := rs.complete(r, res); err != nil {
+					return Summary{}, err
+				}
 				continue
 			}
-			slots[i] = slot{base: add(base), self: add(self)}
 		}
-		results, err := experiments.RunJobs(ctx, jobs, e.Workers)
-		if err != nil {
-			return Summary{}, err
-		}
-		for i, pos := range order[lo:hi] {
-			var base *sim.Result
-			if slots[i].base >= 0 {
-				base = &results[slots[i].base]
-			}
-			if jl != nil {
-				self, basePt, hasBase := rec.Pair(pos)
-				selfKey, selfOK := putJob(self.Job(), results[slots[i].self])
-				baseKey, baseOK := "", true
-				if hasBase {
-					baseKey, baseOK = putJob(basePt.Job(), *base)
-				}
-				if selfOK && baseOK {
-					if err := jl.Done(pos, selfKey, baseKey); err != nil {
-						e.logf("campaign journal degraded, run no longer resumable: %v", err)
-						jl = nil
-					}
-				}
-			}
-			if err := rec.Complete(pos, results[slots[i].self], base); err != nil {
-				return Summary{}, err
-			}
-		}
+		pending = append(pending, r)
 	}
-	sum, err := rec.Finish(nil)
+	rs.pending = pending
+
+	fleet, err := exec(ctx, rs)
 	if err != nil {
 		return Summary{}, err
 	}
-	if jl != nil {
+	if fleet != nil {
+		fleet.StoreHits = storeHits
+	}
+	sum, err := rec.Finish(fleet)
+	if err != nil {
+		return Summary{}, err
+	}
+	if rs.jl != nil {
 		if b, merr := json.Marshal(sum); merr == nil {
-			if err := jl.Seal(b); err != nil {
+			if err := rs.jl.Seal(b); err != nil {
 				e.logf("campaign journal seal failed: %v", err)
 			}
 		}
 	}
 	return sum, nil
+}
+
+// runLocal executes the pending runs on the process-shared experiment
+// engine, in batches of the runs first needed by batchSize() consecutive
+// points of the schedule.
+func (e *Engine) runLocal(ctx context.Context, rs *Runs) (*FleetSummary, error) {
+	B := e.batchSize()
+	for lo := 0; lo < len(rs.pending); {
+		hi := lo
+		var jobs []experiments.Job
+		for ; hi < len(rs.pending) && rs.pending[hi].slot/B == rs.pending[lo].slot/B; hi++ {
+			jobs = append(jobs, rs.pending[hi].job)
+		}
+		results, err := experiments.RunJobs(ctx, jobs, e.Workers)
+		if err != nil {
+			return nil, err
+		}
+		for i := lo; i < hi; i++ {
+			if err := rs.Complete(i, results[i-lo]); err != nil {
+				return nil, err
+			}
+		}
+		lo = hi
+	}
+	return nil, nil
+}
+
+// run is one deduplicated simulation a campaign needs, and the point
+// positions waiting on it.
+type run struct {
+	id       experiments.RunID
+	storable bool   // memoizable: id is valid and the store can hold the run
+	key      string // canonical run key, rendered on first use (see runKey)
+	pt       Point
+	job      experiments.Job
+	slot     int // schedule slot of the first point needing it
+	res      *sim.Result
+	durable  bool // the result is in the store: a journal frame may cite it
+	waiters  []int
+}
+
+// runKey is r's canonical key — the result-store key when storable. It is
+// rendered lazily: a local campaign without a store never needs it.
+func (r *run) runKey() string {
+	if r.key == "" {
+		if r.storable {
+			r.key = r.id.String()
+		} else {
+			r.key = "raw:" + pointKey(r.pt)
+		}
+	}
+	return r.key
+}
+
+// Runs is a campaign's pending work as an Executor sees it: the
+// deduplicated simulation runs — every unresolved point's own run plus its
+// baseline partner's, each listed once however many points share it — in
+// schedule order. Reporting a run settles every point waiting on it, in
+// the one durable order: store Put, then journal frame, then Recorder.
+// Methods must be called from one goroutine at a time.
+type Runs struct {
+	e     *Engine
+	rec   *Recorder
+	jl    *Journal
+	store experiments.ResultStore
+
+	pending []*run // the runs left to execute
+	self    []*run // per position: its own run (nil for points replay resolved)
+	base    []*run // per position: its baseline partner's run, if any
+	need    []int  // per position: runs still missing
+	open    int    // positions not yet completed or dropped
+}
+
+// newRuns deduplicates the points of order that replay left unresolved into
+// runs: each point's baseline partner, then its own run.
+func newRuns(e *Engine, rec *Recorder, order []int, resolved []bool) *Runs {
+	n := rec.Len()
+	rs := &Runs{
+		e: e, rec: rec, jl: e.Journal, store: e.Store,
+		self: make([]*run, n), base: make([]*run, n), need: make([]int, n),
+	}
+	at := map[any]*run{} // RunID, or the point's JSON for unmemoizable runs
+	add := func(p Point, pos, slot int) *run {
+		job := p.Job()
+		id, ok := experiments.JobID(job)
+		var dedup any = id
+		if !ok {
+			dedup = pointKey(p)
+		}
+		r := at[dedup]
+		if r == nil {
+			r = &run{id: id, storable: ok, pt: p, job: job, slot: slot}
+			at[dedup] = r
+			rs.pending = append(rs.pending, r)
+		}
+		if k := len(r.waiters); k == 0 || r.waiters[k-1] != pos {
+			r.waiters = append(r.waiters, pos)
+			rs.need[pos]++
+		}
+		return r
+	}
+	slot := 0
+	for _, pos := range order {
+		if resolved != nil && resolved[pos] {
+			continue
+		}
+		self, base, hasBase := rec.Pair(pos)
+		if hasBase {
+			rs.base[pos] = add(base, pos, slot)
+		}
+		rs.self[pos] = add(self, pos, slot)
+		rs.open++
+		slot++
+	}
+	return rs
+}
+
+// Len is the number of pending runs.
+func (rs *Runs) Len() int { return len(rs.pending) }
+
+// Key is pending run i's canonical key (stable across campaigns).
+func (rs *Runs) Key(i int) string { return rs.pending[i].runKey() }
+
+// Point is the normalized point pending run i simulates.
+func (rs *Runs) Point(i int) Point { return rs.pending[i].pt }
+
+// Open is the number of points not yet completed or dropped.
+func (rs *Runs) Open() int { return rs.open }
+
+// Complete delivers pending run i's result to every point waiting on it.
+// Completing a run twice is a no-op.
+func (rs *Runs) Complete(i int, res sim.Result) error { return rs.complete(rs.pending[i], res) }
+
+// complete persists r's result, then journals and records every waiting
+// point the result finishes. A failing store or journal degrades — the
+// campaign keeps running, it just stops being resumable from that event on.
+func (rs *Runs) complete(r *run, res sim.Result) error {
+	if r.res != nil {
+		return nil
+	}
+	r.res = &res
+	if r.storable && !r.durable && rs.store != nil {
+		if err := rs.store.Put(r.runKey(), res); err != nil {
+			rs.e.logf("campaign store degraded, results no longer durable: %v", err)
+			rs.store = nil
+		} else {
+			r.durable = true
+		}
+	}
+	for _, pos := range r.waiters {
+		if rs.rec.Resolved(pos) {
+			continue // dropped through its other run
+		}
+		if rs.need[pos]--; rs.need[pos] > 0 {
+			continue
+		}
+		self, base := rs.self[pos], rs.base[pos]
+		// The journal claims a point only once its results are durable, so a
+		// replay either finds them or safely re-runs the point.
+		if rs.jl != nil && self.durable && (base == nil || base.durable) {
+			baseKey := ""
+			if base != nil {
+				baseKey = base.runKey()
+			}
+			if err := rs.jl.Done(pos, self.runKey(), baseKey); err != nil {
+				rs.degradeJournal(err)
+			}
+		}
+		var baseRes *sim.Result
+		if base != nil {
+			baseRes = base.res
+		}
+		if err := rs.rec.Complete(pos, *self.res, baseRes); err != nil {
+			return err
+		}
+		rs.open--
+	}
+	return nil
+}
+
+// Drop abandons every point still waiting on pending run i, with a reason
+// the summary reports under dropped_points.
+func (rs *Runs) Drop(i int, reason string) error {
+	for _, pos := range rs.pending[i].waiters {
+		if rs.rec.Resolved(pos) {
+			continue
+		}
+		if rs.jl != nil {
+			if err := rs.jl.Drop(pos, reason); err != nil {
+				rs.degradeJournal(err)
+			}
+		}
+		if err := rs.rec.Drop(pos, reason); err != nil {
+			return err
+		}
+		rs.open--
+	}
+	return nil
+}
+
+func (rs *Runs) degradeJournal(err error) {
+	rs.e.logf("campaign journal degraded, run no longer resumable: %v", err)
+	rs.jl = nil
 }
 
 func strategyName(s string) string {

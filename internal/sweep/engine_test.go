@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -45,20 +46,22 @@ func stripSummaryTelemetry(t *testing.T, line string) string {
 // TestCampaignDeterministicStream is the determinism suite: the same spec
 // (and sampling seed) must yield a byte-identical NDJSON stream — modulo the
 // summary's telemetry fields — across runs, worker counts and batch sizes.
+// The sample is larger than one batch at one worker (16 points) and smaller
+// than one at eight (32), so the batch boundaries differ between the runs.
 func TestCampaignDeterministicStream(t *testing.T) {
 	c := Campaign{
 		Name: "det",
 		Base: Point{Refs: 601},
 		Axes: Axes{
 			Workloads: []Mix{{"mcf"}, {"tpcc"}, {"linpack"}},
-			Seeds:     []int64{1, 2},
+			Seeds:     []int64{1, 2, 3},
 			L2:        []string{"none", "spp", "bop"},
 		},
-		Sample: Sample{Strategy: StrategyRandom, Points: 12, Seed: 3},
+		Sample: Sample{Strategy: StrategyRandom, Points: 20, Seed: 3},
 	}
 	runs := [][]string{
-		collect(t, Engine{Workers: 1, BatchSize: 3}, c),
-		collect(t, Engine{Workers: 4, BatchSize: 5}, c),
+		collect(t, Engine{Workers: 1}, c),
+		collect(t, Engine{Workers: 8}, c),
 		collect(t, Engine{Workers: 2}, c),
 	}
 	for i := 1; i < len(runs); i++ {
@@ -75,9 +78,9 @@ func TestCampaignDeterministicStream(t *testing.T) {
 			}
 		}
 	}
-	// Shape sanity: header, 12 points, summary.
-	if len(runs[0]) != 14 {
-		t.Fatalf("records = %d, want 14", len(runs[0]))
+	// Shape sanity: header, 20 points, summary.
+	if len(runs[0]) != 22 {
+		t.Fatalf("records = %d, want 22", len(runs[0]))
 	}
 }
 
@@ -92,16 +95,17 @@ func TestCampaignResumeSimulatesOnlyMissingPoints(t *testing.T) {
 		Base: Point{Refs: 733}, // distinctive refs: no other test shares these runs
 		Axes: Axes{
 			Workloads: []Mix{{"mcf"}, {"tpcc"}},
-			Seeds:     []int64{21, 22, 23},
+			Seeds:     []int64{21, 22, 23, 24, 25, 26},
 			L2:        []string{"none", "spp"},
 		},
 	}
-	const totalPoints = 12 // every point is a distinct simulation
+	const totalPoints = 24 // every point is a distinct simulation
 
-	// Run 1: kill the campaign after the first batch lands.
+	// Run 1: kill the campaign after the first batch lands. One worker
+	// batches 16 points, so the campaign spans two batches.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	eng := Engine{Workers: 2, BatchSize: 4}
+	eng := Engine{Workers: 1}
 	c0 := experiments.EngineCounters()
 	var firstLines []string
 	_, err := eng.Run(ctx, c, func(line json.RawMessage) error {
@@ -120,8 +124,10 @@ func TestCampaignResumeSimulatesOnlyMissingPoints(t *testing.T) {
 		t.Fatalf("first (killed) run simulated %d of %d points; want a strict subset", simsFirst, totalPoints)
 	}
 
-	// Run 2: resubmit the identical campaign. Only the missing points may
-	// simulate; everything the killed run completed comes from the memo.
+	// Run 2: resubmit the identical campaign, at eight workers (one batch
+	// of 32). Only the missing points may simulate; everything the killed
+	// run completed comes from the memo.
+	eng = Engine{Workers: 8}
 	lines := collect(t, eng, c)
 	c2 := experiments.EngineCounters()
 	simsResumed := c2.Sims - c1.Sims
@@ -323,7 +329,7 @@ func TestCampaignStreamIdenticalWithBatchingDisabled(t *testing.T) {
 			L2:        []string{"none", "spp", "bop"},
 		},
 	}
-	eng := Engine{Workers: 2, BatchSize: 5}
+	eng := Engine{Workers: 2}
 	batched := collect(t, eng, c)
 	experiments.ResetMemo() // force the serial leg to actually re-simulate
 	experiments.SetBatching(false)
@@ -339,6 +345,105 @@ func TestCampaignStreamIdenticalWithBatchingDisabled(t *testing.T) {
 		}
 		if a != b {
 			t.Errorf("record %d differs between -batch=true and -batch=false:\n%s\n%s", i, a, b)
+		}
+	}
+}
+
+// TestRunWithExecutorCompletesOutOfOrderAndDrops drives the lifecycle with
+// a custom Executor, as the fleet coordinator does: runs complete in
+// reverse order and one run is dropped. The points needing the dropped run
+// drop with its reason (and a journal frame), every point's done frame is
+// durable before its record is emitted and cites results the store holds,
+// and the kept records match a local run's byte for byte.
+func TestRunWithExecutorCompletesOutOfOrderAndDrops(t *testing.T) {
+	c := journalCampaign()
+	want := collect(t, Engine{Workers: 2}, c)
+	store := newMemStore()
+	path := filepath.Join(t.TempDir(), "c.journal")
+	jl, err := CreateJournal(path, "j000001", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+
+	const reason = "max attempts (4) exhausted: test"
+	exec := func(ctx context.Context, rs *Runs) (*FleetSummary, error) {
+		if rs.Len() != 4 {
+			t.Fatalf("pending runs = %d, want 4", rs.Len())
+		}
+		jobs := make([]experiments.Job, rs.Len())
+		for i := range jobs {
+			p := rs.Point(i)
+			jobs[i] = p.Job()
+		}
+		results, err := experiments.RunJobs(ctx, jobs, 2)
+		if err != nil {
+			return nil, err
+		}
+		dropped := -1
+		for i := 0; i < rs.Len(); i++ {
+			if p := rs.Point(i); p.Workloads[0] == "tpcc" && p.L2 == "none" {
+				dropped = i
+				if err := rs.Drop(i, reason); err != nil {
+					return nil, err
+				}
+			}
+		}
+		for i := rs.Len() - 1; i >= 0; i-- {
+			if i != dropped {
+				if err := rs.Complete(i, results[i]); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if rs.Open() != 0 {
+			t.Errorf("open points after every run reported = %d", rs.Open())
+		}
+		return &FleetSummary{Workers: 1}, nil
+	}
+	var got []string
+	eng := Engine{Journal: jl, Store: store}
+	sum, err := eng.RunWith(context.Background(), c, func(line json.RawMessage) error {
+		got = append(got, string(line))
+		var rec PointRecord
+		if json.Unmarshal(line, &rec) == nil && rec.Type == "point" {
+			st, err := ReadJournalState(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := st.Done[int(rec.Index)]; !ok {
+				t.Errorf("point %d emitted before its done frame was journaled", rec.Index)
+			}
+		}
+		return nil
+	}, exec)
+	if err != nil {
+		t.Fatalf("RunWith: %v", err)
+	}
+
+	// Header, the two mcf points, summary.
+	if len(got) != 4 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("stream:\n%s\nwant the header and mcf records of:\n%s", got, want)
+	}
+	if len(sum.DroppedPoints) != 2 || sum.DroppedPoints[0].Reason != reason || sum.DroppedPoints[1].Index != 3 {
+		t.Fatalf("dropped points = %+v", sum.DroppedPoints)
+	}
+	if sum.Fleet == nil || sum.Fleet.Workers != 1 {
+		t.Fatalf("fleet summary = %+v", sum.Fleet)
+	}
+
+	st, err := ReadJournalState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Sealed || len(st.Done) != 2 || len(st.Dropped) != 2 || st.Dropped[2] != reason {
+		t.Fatalf("journal: sealed %v, done %v, dropped %v", st.Sealed, st.Done, st.Dropped)
+	}
+	for pos, ev := range st.Done {
+		for _, key := range []string{ev.Key, ev.Base} {
+			if _, ok := store.Get(key); key != "" && !ok {
+				t.Errorf("journaled completion of point %d cites %q, which the store lacks", pos, key)
+			}
 		}
 	}
 }

@@ -150,17 +150,14 @@ func ReadJournalState(path string) (*JournalState, error) {
 	return st, err
 }
 
-// scanJournal reads frames from the start of f, returning the recovered
+// scanJournal reads a journal's frames from r, returning the recovered
 // state and the byte offset just past the last intact frame. A torn or
 // corrupt frame ends the scan silently — it is the crash's half-written
 // tail. A bad magic header or an unparseable first record is an error: the
 // file is not a journal.
-func scanJournal(f *os.File) (*JournalState, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("sweep: journal seek: %w", err)
-	}
+func scanJournal(r io.Reader) (*JournalState, int64, error) {
 	br := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(f, br); err != nil || !bytes.Equal(br, []byte(journalMagic)) {
+	if _, err := io.ReadFull(r, br); err != nil || !bytes.Equal(br, []byte(journalMagic)) {
 		return nil, 0, fmt.Errorf("sweep: not a campaign journal (bad magic)")
 	}
 	st := &JournalState{
@@ -171,7 +168,7 @@ func scanJournal(f *os.File) (*JournalState, int64, error) {
 	var hdr [8]byte
 	seenSpec := false
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			break // clean EOF or torn length word: tail ends here
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
@@ -180,7 +177,7 @@ func scanJournal(f *os.File) (*JournalState, int64, error) {
 			break // corrupt length: treat as torn tail
 		}
 		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			break // frame cut short by the crash
 		}
 		if crc32.ChecksumIEEE(payload) != want {
@@ -263,15 +260,12 @@ func (j *Journal) Path() string { return j.path }
 // Close closes the underlying file. The journal stays on disk.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// Replay feeds the journal's terminal events through rec in ascending
+// replay feeds the journal's terminal events through rec in ascending
 // position order: completions are rehydrated from store (a store miss
 // leaves the position unresolved — it simply re-runs), drops re-drop with
 // their journaled reasons. It returns resolved[pos] == true for every
-// position the replay settled, so the caller dispatches only the rest.
-func (st *JournalState) Replay(rec *Recorder, store experiments.ResultStore) ([]bool, error) {
-	if store == nil {
-		return nil, fmt.Errorf("sweep: journal replay needs a result store")
-	}
+// position the replay settled, so the caller schedules only the rest.
+func (st *JournalState) replay(rec *Recorder, store experiments.ResultStore) ([]bool, error) {
 	resolved := make([]bool, rec.Len())
 	for pos := 0; pos < rec.Len(); pos++ {
 		if reason, ok := st.Dropped[pos]; ok {

@@ -1,10 +1,14 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dspatch/internal/experiments"
@@ -320,4 +324,112 @@ func TestJournalReplayStoreMissReruns(t *testing.T) {
 	if sum.Points != 4 || len(lines) != 6 { // header + 4 points + summary
 		t.Errorf("resumed-with-miss run: %d points, %d lines", sum.Points, len(lines))
 	}
+}
+
+// intactPrefix walks data's frames as the format defines them — length word
+// in bounds, payload present, CRC matching, payload a journal record — and
+// returns the offset just past the last intact one.
+func intactPrefix(data []byte) int64 {
+	off := len(journalMagic)
+	for len(data)-off >= 8 {
+		n := binary.LittleEndian.Uint32(data[off:])
+		if n == 0 || n > maxJournalFrame || uint64(len(data)-off-8) < uint64(n) {
+			break
+		}
+		payload := data[off+8 : off+8+int(n)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:]) {
+			break
+		}
+		var rec journalRecord
+		if json.Unmarshal(payload, &rec) != nil {
+			break
+		}
+		off += 8 + int(n)
+	}
+	return int64(off)
+}
+
+// FuzzJournalScan feeds arbitrary bytes to the journal scanner. Scanning
+// must never panic; a file that scans (valid magic and spec frame) must
+// recover exactly the state of its longest intact frame prefix, and
+// OpenJournal must truncate the file to exactly that offset.
+func FuzzJournalScan(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, "seed.journal")
+	jl, err := CreateJournal(path, "j000007", journalCampaign())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var frames [][]byte // the file after each append
+	snap := func() {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, data)
+	}
+	snap()
+	for _, step := range []func() error{
+		func() error { return jl.Done(0, "k0", "") },
+		func() error { return jl.Done(2, "k2self", "k2base") },
+		func() error { return jl.Drop(3, "max attempts (4) exhausted: boom") },
+		func() error { return jl.Seal(json.RawMessage(`{"type":"summary","points":4}`)) },
+	} {
+		if err := step(); err != nil {
+			f.Fatal(err)
+		}
+		snap()
+	}
+	jl.Close()
+	full := frames[len(frames)-1]
+	for _, data := range frames {
+		f.Add(data)
+	}
+	// Torn tails: cuts inside the last frame's header and payload.
+	prev := frames[len(frames)-2]
+	for _, cut := range []int{len(prev) + 1, len(prev) + 7, len(prev) + 9, len(full) - 1} {
+		f.Add(full[:cut])
+	}
+	corrupt := append([]byte(nil), full...)
+	corrupt[len(frames[1])+12] ^= 0xFF // a payload byte mid-file: CRC mismatch
+	f.Add(corrupt)
+	f.Add([]byte(journalMagic))
+	f.Add([]byte("this is not a journal at all"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, end, err := scanJournal(bytes.NewReader(data))
+		path := filepath.Join(t.TempDir(), "f.journal")
+		if werr := os.WriteFile(path, data, 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		jl, ost, oerr := OpenJournal(path)
+		if err != nil {
+			if oerr == nil {
+				jl.Close()
+				t.Fatalf("scan rejected the file (%v) but OpenJournal accepted it", err)
+			}
+			return
+		}
+		if oerr != nil {
+			t.Fatalf("scan accepted the file but OpenJournal failed: %v", oerr)
+		}
+		jl.Close()
+		if want := intactPrefix(data); end != want {
+			t.Fatalf("scan ended at %d, longest intact frame prefix ends at %d", end, want)
+		}
+		pst, pend, err := scanJournal(bytes.NewReader(data[:end]))
+		if err != nil || pend != end || !reflect.DeepEqual(pst, st) {
+			t.Fatalf("intact prefix scans differently: end %d vs %d, err %v\n%+v\n%+v", pend, end, err, pst, st)
+		}
+		if !reflect.DeepEqual(ost, st) {
+			t.Fatalf("OpenJournal state differs from scan:\n%+v\n%+v", ost, st)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != end {
+			t.Fatalf("OpenJournal left %d bytes, want the intact prefix's %d", fi.Size(), end)
+		}
+	})
 }
