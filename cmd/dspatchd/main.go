@@ -73,7 +73,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	maxJobs := fs.Int("max-jobs", 0, "retained job records before eviction (0 = default 4096)")
 	cacheDir := fs.String("cache-dir", "", "persistent run-cache directory shared with dspatchsim")
 	noCache := fs.Bool("no-cache", false, "ignore -cache-dir (force every simulation to run)")
-	batch := fs.Bool("batch", true, "advance same-trace configs in lockstep over one trace walk")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "how long running jobs may finish after SIGTERM")
 	maxWait := fs.Duration("max-wait", 30*time.Second, "cap on ?wait= long-polls and campaign follow streams")
 	maxCampStreams := fs.Int("max-campaign-streams", 0, "finished campaigns keeping their full NDJSON stream in memory (0 = default 64)")
@@ -230,7 +229,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		QueueDepth:         *queue,
 		MaxJobs:            *maxJobs,
 		CacheDir:           activeCacheDir,
-		DisableBatch:       !*batch,
 		DrainTimeout:       *drain,
 		MaxWait:            *maxWait,
 		MaxCampaignStreams: *maxCampStreams,

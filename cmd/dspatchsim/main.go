@@ -60,7 +60,6 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	campaign := fs.String("campaign", "", "run a declarative campaign sweep from this JSON spec file (see internal/sweep)")
 	campaignOut := fs.String("campaign-out", "", "write the campaign NDJSON stream to this file (default stdout)")
 	campaignCSV := fs.String("campaign-csv", "", "also mirror campaign point records into this CSV file")
-	batch := fs.Bool("batch", true, "advance same-trace configs in lockstep over one trace walk")
 	cacheDir := fs.String("cache-dir", "", "persistent run-cache directory: completed simulations are reused across process invocations")
 	noCache := fs.Bool("no-cache", false, "ignore -cache-dir (force every simulation to run)")
 	stats := fs.Bool("stats", false, "run the -workload once with per-prefetcher telemetry and print the stats tables")
@@ -184,10 +183,6 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	// Like the cache dir, the batching toggle is applied every invocation:
-	// the engine is process-global and must not inherit a stale setting.
-	experiments.SetBatching(*batch)
-
 	// Scenario registration precedes everything that resolves workload
 	// names. Unlike -trace-import, spec-registered scenarios carry content
 	// fingerprints into every cache key, so the persistent cache stays on.

@@ -41,58 +41,37 @@ func TestBatchGroupingRunsOneBatch(t *testing.T) {
 	}
 }
 
-func TestBatchingDisabledRunsSerially(t *testing.T) {
-	r := NewRunner(1)
-	r.SetBatching(false)
-	if r.BatchingEnabled() {
-		t.Fatal("SetBatching(false) left batching enabled")
-	}
-	jobs := batchJobs(t, "linpack", 600, sim.PFNone, sim.PFSPP, sim.PFBOP)
-	r.RunAll(jobs, 1)
-	if c := r.Counters(); c.Sims != 3 || c.Batches != 0 {
-		t.Fatalf("serial-mode counters: %+v", c)
-	}
-}
-
 // TestBatchMatchesSerialResults is the engine-level half of the equivalence
 // story: the same heterogeneous job list — mixed prefetchers, LLC sizes, a
-// multi-lane mix, and a non-memoizable pollution job riding along — produces
-// bit-identical results with batching on and off.
+// multi-lane mix, and a pollution-tracking job riding along in a batch —
+// produces, through the runner's lockstep batches, results bit-identical to
+// a plain sim.Run of each job.
 func TestBatchMatchesSerialResults(t *testing.T) {
-	mk := func() []Job {
-		jobs := batchJobs(t, "tpcc", 900, sim.PFNone, sim.PFSPP, sim.PFDSPatch)
-		big := tinyJob(t, "tpcc", 900, sim.PFSPP)
-		big.Opt.LLCBytes = 4 << 20
-		jobs = append(jobs, big)
-		poll := tinyJob(t, "tpcc", 900, sim.PFStreamer)
-		poll.Opt.TrackPollution = true
-		jobs = append(jobs, poll)
-		mp := Job{
-			Workloads: []trace.Workload{wlByName(t, "tpcc"), wlByName(t, "linpack")},
-			Opt: func() sim.Options {
-				o := sim.DefaultMP()
-				o.Refs = 900
-				return o
-			}(),
-		}
-		jobs = append(jobs, mp, tinyJob(t, "mcf", 900, sim.PFSPP))
-		return jobs
+	jobs := batchJobs(t, "tpcc", 900, sim.PFNone, sim.PFSPP, sim.PFDSPatch)
+	big := tinyJob(t, "tpcc", 900, sim.PFSPP)
+	big.Opt.LLCBytes = 4 << 20
+	jobs = append(jobs, big)
+	poll := tinyJob(t, "tpcc", 900, sim.PFStreamer)
+	poll.Opt.TrackPollution = true
+	jobs = append(jobs, poll)
+	mp := Job{
+		Workloads: []trace.Workload{wlByName(t, "tpcc"), wlByName(t, "linpack")},
+		Opt: func() sim.Options {
+			o := sim.DefaultMP()
+			o.Refs = 900
+			return o
+		}(),
 	}
+	jobs = append(jobs, mp, tinyJob(t, "mcf", 900, sim.PFSPP))
 
-	batched := NewRunner(2)
-	serial := NewRunner(2)
-	serial.SetBatching(false)
-	resB := batched.RunAll(mk(), 2)
-	resS := serial.RunAll(mk(), 2)
-	if cb := batched.Counters(); cb.Batches == 0 {
-		t.Fatalf("batched runner executed no batches: %+v", cb)
+	r := NewRunner(2)
+	got := r.RunAll(jobs, 2)
+	if c := r.Counters(); c.Batches == 0 {
+		t.Fatalf("runner executed no batches: %+v", c)
 	}
-	for i := range resB {
-		b, s := resB[i], resS[i]
-		b.StripPorts()
-		s.StripPorts() // live pointers; stripped on memoized paths anyway
-		if !reflect.DeepEqual(b, s) {
-			t.Errorf("job %d: batched result differs from serial\nbatched: %+v\nserial:  %+v", i, b, s)
+	for i, j := range jobs {
+		if want := sim.Run(j.Workloads, j.Opt); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("job %d: runner result differs from sim.Run\nrunner:  %+v\nsim.Run: %+v", i, got[i], want)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // The persistent run cache extends the in-process memo across processes:
-// every memoizable simulation result is written to a ResultStore — by
+// every simulation result is written to a ResultStore — by
 // default a DirStore of content-addressed files under the cache directory —
 // and later invocations (a second CLI run of the same figure, a CI job, a
 // notebook, another fleet worker) load it instead of re-simulating.
@@ -40,9 +40,15 @@ type cacheEntry struct {
 
 // keyString renders every runKey field in a stable, self-describing form.
 // It is the ResultStore key; DirStore hashes it into the content address.
+// trackPollution renders only when set, so keys of pollution-free runs are
+// the strings earlier builds wrote and their stored entries still hit.
 func (k runKey) keyString() string {
-	return fmt.Sprintf("names=%q dram=%+v llc=%d refs=%d seed=%d l2=%s nol1=%t smspht=%d stats=%t",
+	s := fmt.Sprintf("names=%q dram=%+v llc=%d refs=%d seed=%d l2=%s nol1=%t smspht=%d stats=%t",
 		k.names, k.dram, k.llcBytes, k.refs, k.seed, k.l2, k.noL1Stride, k.smsPHT, k.collectStats)
+	if k.trackPollution {
+		s += " pollution=true"
+	}
+	return s
 }
 
 // logWarnf receives the engine's rare operational warnings (one line when

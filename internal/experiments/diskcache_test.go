@@ -174,10 +174,7 @@ func TestDiskCacheDisabledIdentical(t *testing.T) {
 func TestDiskCacheNoTornReads(t *testing.T) {
 	dir := t.TempDir()
 	job := cacheTestJob(t)
-	key, ok := memoizable(job)
-	if !ok {
-		t.Fatal("cache test job must be memoizable")
-	}
+	key := memoizable(job)
 	st, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -313,19 +310,19 @@ func TestDiskCacheUnwritableDegradesGracefully(t *testing.T) {
 }
 
 // TestDirStoreAndJobKey covers the pluggable store seam the fleet layer
-// builds on: JobKey is stable and memoizability-gated, DirStore round-trips
-// results under it byte-compatibly with the engine's own cache files, and
-// torn PutRaw entries read back as misses.
+// builds on: JobKey is stable and separates pollution tracking, DirStore
+// round-trips results under it byte-compatibly with the engine's own cache
+// files, and torn PutRaw entries read back as misses.
 func TestDirStoreAndJobKey(t *testing.T) {
 	job := cacheTestJob(t)
-	key, ok := JobKey(job)
-	if !ok || key == "" {
-		t.Fatalf("JobKey(%+v) = %q, %t", job, key, ok)
+	key := JobKey(job)
+	if key == "" || JobKey(job) != key {
+		t.Fatalf("JobKey(%+v) = %q, not stable", job, key)
 	}
 	polluted := job
 	polluted.Opt.TrackPollution = true
-	if _, ok := JobKey(polluted); ok {
-		t.Fatal("pollution-tracking job must not be memoizable")
+	if JobKey(polluted) == key {
+		t.Fatal("pollution tracking on and off must not share a key")
 	}
 
 	dir := t.TempDir()
@@ -361,5 +358,72 @@ func TestDirStoreAndJobKey(t *testing.T) {
 	}
 	if _, ok := st.Get(key); ok {
 		t.Fatal("torn entry served as a hit")
+	}
+}
+
+// TestKeyStringPinned pins the run keys of a builtin job and a fingerprinted
+// scenario job to the exact strings earlier builds rendered, so run stores
+// and -cache-dir trees they wrote keep serving. Pollution tracking renders
+// only when on, leaving every other key unchanged.
+func TestKeyStringPinned(t *testing.T) {
+	builtin := cacheTestJob(t)
+	if got, want := JobKey(builtin), `names="linpack" dram=1ch-DDR4-2133 llc=2097152 refs=3000 seed=1 l2=dspatch+spp nol1=false smspht=0 stats=false`; got != want {
+		t.Errorf("builtin key:\n got %s\nwant %s", got, want)
+	}
+	polluted := builtin
+	polluted.Opt.TrackPollution = true
+	if got, want := JobKey(polluted), JobKey(builtin)+" pollution=true"; got != want {
+		t.Errorf("pollution key:\n got %s\nwant %s", got, want)
+	}
+
+	w, err := trace.NewRegistry().RegisterSpec(trace.ScenarioSpec{
+		Name: "key-pin-chase", Kind: trace.KindPointer,
+		Pointer: &trace.PointerChaseConfig{Style: "list", Nodes: 1024, NodesPerPage: 8, Depth: 64, MeanGap: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sim.DefaultMP()
+	opt.Refs = 5_000
+	opt.Seed = 3
+	opt.L2 = sim.PFSPP
+	opt.CollectStats = true
+	scenario := Job{Workloads: []trace.Workload{w, builtin.Workloads[0]}, Opt: opt}
+	if got, want := JobKey(scenario), `names="key-pin-chase\x01spec-dd3b9a8b61322f57\x00linpack" dram=2ch-DDR4-2133 llc=8388608 refs=5000 seed=3 l2=spp nol1=false smspht=0 stats=true`; got != want {
+		t.Errorf("scenario key:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestPollutionRunRoundTripsStores proves a pollution-tracking run is an
+// ordinary stored run: a second runner on the same DirStore or PackStore
+// serves it without simulating, Pollution fractions bit-identical.
+func TestPollutionRunRoundTripsStores(t *testing.T) {
+	job := tinyJob(t, "mcf", 10_000, sim.PFStreamer)
+	job.Opt.TrackPollution = true
+	dir, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack, err := OpenPackStore(filepath.Join(t.TempDir(), "results.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pack.Close()
+	for name, st := range map[string]ResultStore{"dir": dir, "pack": pack} {
+		r1 := NewRunner(1)
+		r1.SetResultStore(st)
+		fresh := r1.RunAll([]Job{job}, 1)[0]
+		if fresh.Pollution == ([3]float64{}) {
+			t.Fatalf("%s: pollution-tracking run reported no pollution fractions", name)
+		}
+		r2 := NewRunner(1)
+		r2.SetResultStore(st)
+		got := r2.RunAll([]Job{job}, 1)[0]
+		if c := r2.Counters(); c.Sims != 0 || c.DiskHits != 1 {
+			t.Errorf("%s: second runner counters %+v, want one store hit and no sims", name, c)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Errorf("%s: stored pollution run differs:\n%+v\n%+v", name, got, fresh)
+		}
 	}
 }

@@ -137,18 +137,19 @@ func Fig11b(s Scale) [6]float64 {
 	for i, w := range ws {
 		opt := s.stOptions()
 		opt.L2 = sim.PFDSPatch
+		opt.CollectStats = true // DSPatch reports the histogram as telemetry
 		jobs[i] = SingleJob(w, opt)
-		jobs[i].NeedPorts = true // reads DSPatch counters off the live ports
 	}
 	var hist [6]uint64
 	for _, r := range s.runAll(jobs) {
-		ports := r.Ports()
-		if len(ports) == 0 {
-			continue // run aborted by a WithContext cancellation
-		}
-		d := sim.FindDSPatch(ports[0].L2Prefetcher())
-		for i, v := range d.Stats().CompressionHist {
-			hist[i] += v
+		// A canceled run carries no telemetry, and an all-zero histogram
+		// is omitted from it; either contributes nothing.
+		for _, st := range r.Prefetchers {
+			if st.Name == "dspatch" {
+				for i, v := range st.Histograms["compression_mispred"].Counts {
+					hist[i] += v
+				}
+			}
 		}
 	}
 	var total float64

@@ -19,11 +19,6 @@ import (
 type Job struct {
 	Workloads []trace.Workload
 	Opt       sim.Options
-	// NeedPorts marks a job whose caller inspects the live memory-system
-	// ports of the result (e.g. Fig. 11b digs DSPatch's internal counters
-	// out of them). Such jobs bypass the memo, which stores results with
-	// their bulky port state stripped.
-	NeedPorts bool
 }
 
 // SingleJob is shorthand for a one-core job.
@@ -31,7 +26,7 @@ func SingleJob(w trace.Workload, opt sim.Options) Job {
 	return Job{Workloads: []trace.Workload{w}, Opt: opt}
 }
 
-// runKey identifies a memoizable run: every option that affects a
+// runKey identifies a run: every option that affects a
 // simulation's outcome and nothing that doesn't. Simulations are
 // deterministic functions of this key, so figures that share runs — Figs. 4
 // and 6 share every BOP/SMS/SPP point, Figs. 12/14 and the headline share
@@ -53,15 +48,14 @@ type runKey struct {
 	// serving it to a stats-on request (or vice versa) would make the memo
 	// lossy.
 	collectStats bool
+	// trackPollution keys the Fig. 20 victim taxonomy the same way: it only
+	// adds Result.Pollution, which a pollution-off result lacks.
+	trackPollution bool
 }
 
-// memoizable reports whether j is a shareable run and, if so, its cache key.
-// Pollution-tracking and port-inspecting runs are excluded: their results
-// carry state that is not preserved by the memo.
-func memoizable(j Job) (runKey, bool) {
-	if j.Opt.TrackPollution || j.NeedPorts {
-		return runKey{}, false
-	}
+// memoizable returns j's cache key. Every run is memoizable: a Result is
+// plain data, and the key covers every option that shapes it.
+func memoizable(j Job) runKey {
 	names := make([]string, len(j.Workloads))
 	for i, w := range j.Workloads {
 		names[i] = w.Name
@@ -83,16 +77,17 @@ func memoizable(j Job) (runKey, bool) {
 		smsPHT = j.Opt.SMSPHTEntries
 	}
 	return runKey{
-		names:        strings.Join(names, "\x00"),
-		dram:         j.Opt.DRAM,
-		llcBytes:     j.Opt.LLCBytes,
-		refs:         j.Opt.Refs,
-		seed:         j.Opt.Seed,
-		l2:           l2,
-		noL1Stride:   j.Opt.NoL1Stride,
-		smsPHT:       smsPHT,
-		collectStats: j.Opt.CollectStats,
-	}, true
+		names:          strings.Join(names, "\x00"),
+		dram:           j.Opt.DRAM,
+		llcBytes:       j.Opt.LLCBytes,
+		refs:           j.Opt.Refs,
+		seed:           j.Opt.Seed,
+		l2:             l2,
+		noL1Stride:     j.Opt.NoL1Stride,
+		smsPHT:         smsPHT,
+		collectStats:   j.Opt.CollectStats,
+		trackPollution: j.Opt.TrackPollution,
+	}
 }
 
 // memoEntry computes its result once under the ownership of whichever
@@ -135,9 +130,8 @@ type Counters struct {
 }
 
 // Runner fans simulation jobs across a goroutine pool and memoizes every
-// port-independent run, so each distinct (workload mix, options)
-// configuration simulates exactly once per process no matter how many
-// figures request it.
+// run, so each distinct (workload mix, options) configuration simulates
+// exactly once per process no matter how many figures request it.
 type Runner struct {
 	workers int
 
@@ -150,10 +144,6 @@ type Runner struct {
 	// is degraded (disk full, permissions), so further writes are skipped
 	// while reads and simulation continue.
 	cacheWriteOff atomic.Bool
-
-	// batchOff disables lockstep batching: every job runs serially through
-	// runCtx, the pre-batching behaviour (the -batch=false A/B path).
-	batchOff atomic.Bool
 
 	sims     atomic.Uint64
 	memoHits atomic.Uint64
@@ -197,25 +187,6 @@ func EngineCounters() Counters {
 	return engine.Counters()
 }
 
-// SetBatching toggles lockstep batch execution on the process-shared engine
-// (see Runner.SetBatching). Front ends expose it as -batch; it defaults on.
-func SetBatching(on bool) { engine.SetBatching(on) }
-
-// BatchingEnabled reports whether the process-shared engine batches
-// same-trace jobs. Schedulers that order work to maximize batching (the
-// campaign engine) consult it.
-func BatchingEnabled() bool { return engine.BatchingEnabled() }
-
-// SetBatching toggles lockstep batching: when on (the default), RunAll groups
-// memoizable jobs sharing one (workload mix, seed, refs) trace identity and
-// advances each group's configs in lockstep over a single trace walk
-// (sim.RunBatch). Results are bit-identical either way; only scheduling and
-// throughput change.
-func (r *Runner) SetBatching(on bool) { r.batchOff.Store(!on) }
-
-// BatchingEnabled reports whether this runner batches same-trace jobs.
-func (r *Runner) BatchingEnabled() bool { return !r.batchOff.Load() }
-
 // Counters snapshots this runner's work ledger.
 func (r *Runner) Counters() Counters {
 	return Counters{
@@ -228,71 +199,9 @@ func (r *Runner) Counters() Counters {
 	}
 }
 
-// simulate runs j cold under ctx, bookkeeping the work ledger.
-func (r *Runner) simulate(ctx context.Context, j Job) (sim.Result, error) {
-	start := time.Now()
-	res, err := sim.RunCtx(ctx, j.Workloads, j.Opt)
-	if err != nil {
-		return res, err
-	}
-	r.sims.Add(1)
-	r.refsSim.Add(uint64(j.Opt.Refs) * uint64(len(j.Workloads)))
-	r.simNanos.Add(uint64(time.Since(start)))
-	return res, nil
-}
-
-// run executes one job on the background context (the library path, which
-// cannot be canceled and therefore cannot fail).
-func (r *Runner) run(j Job) sim.Result {
-	res, _ := r.runCtx(context.Background(), j)
-	return res
-}
-
-// runCtx executes one job, consulting the in-process memo first and then the
-// persistent disk cache (when configured). Memoized results drop their
-// Ports: live memory-system state is bulky, and jobs that need it set
-// NeedPorts to bypass the memo entirely.
-//
-// Cancellation safety: a memo entry whose computation was canceled is
-// removed, never served. A waiter that finds a canceled entry retries with a
-// fresh one as long as its own context is live, so one canceled request
-// never poisons the shared memo for others.
-func (r *Runner) runCtx(ctx context.Context, j Job) (sim.Result, error) {
-	key, ok := memoizable(j)
-	if !ok {
-		return r.simulate(ctx, j)
-	}
-	for {
-		e, owner, st := r.acquire(key)
-		if owner {
-			r.compute(ctx, e, key, j, st)
-		} else {
-			<-e.done
-		}
-		if e.err != nil {
-			r.dropEntry(key, e)
-			if e.panicked != nil {
-				// Preserve sim.Run's panic semantics for the computing
-				// caller and waiters alike (dspatchd's execute recovers it
-				// into a failed job; the entry is gone, so a resubmission
-				// re-simulates instead of reading a poisoned memo).
-				panic(e.panicked)
-			}
-			if err := ctx.Err(); err != nil {
-				return canceledResult(j), err
-			}
-			continue // the computing request was canceled, not this one: retry
-		}
-		if !owner {
-			r.memoHits.Add(1)
-		}
-		return e.res, nil
-	}
-}
-
 // acquire looks up (or installs) the memo entry of key. The request that
 // installs the entry owns it — it must fill res/err and close done, through
-// compute or the batch path — and every later request waits on done instead.
+// fill — and every later request waits on done instead.
 func (r *Runner) acquire(key runKey) (e *memoEntry, owner bool, st ResultStore) {
 	r.mu.Lock()
 	e = r.memo[key]
@@ -314,35 +223,6 @@ func (r *Runner) dropEntry(key runKey, e *memoEntry) {
 		delete(r.memo, key)
 	}
 	r.mu.Unlock()
-}
-
-// compute fills an owned entry serially: disk cache first, then a cold run.
-// The entry is always closed on return, panics included.
-func (r *Runner) compute(ctx context.Context, e *memoEntry, key runKey, j Job, st ResultStore) {
-	defer close(e.done)
-	// A panicking simulation must not leave a closed entry holding a zero
-	// Result with a nil error — later identical jobs would be served that
-	// zero result as a memo hit. Record the panic so every observer drops
-	// the entry and re-raises it.
-	defer func() {
-		if p := recover(); p != nil {
-			e.panicked = p
-			e.err = fmt.Errorf("simulation panicked: %v", p)
-		}
-	}()
-	if res, ok := r.cacheGet(st, key); ok {
-		r.diskHits.Add(1)
-		e.res = res
-		return
-	}
-	res, err := r.simulate(ctx, j)
-	if err != nil {
-		e.err = err
-		return
-	}
-	res.StripPorts()
-	r.cachePut(st, key, res)
-	e.res = res
 }
 
 // canceledResult is the placeholder for a run aborted by cancellation: zero
@@ -376,50 +256,25 @@ type batchKey struct {
 	seed  int64
 }
 
-// task is one unit of worker-pool scheduling: a single job index, or a group
-// of job indices sharing one trace identity that run as a lockstep batch.
-type task struct {
-	single int
-	group  []int // nil for single tasks
-}
-
-// plan partitions jobs into tasks. Non-memoizable jobs (pollution tracking,
-// port inspection) always run alone — their results carry state the memo
-// cannot hold, so they bypass batching the same way they bypass the memo.
-// Memoizable jobs group by trace identity in first-appearance order, chunked
-// at maxBatchConfigs; groups of one degrade to plain single tasks.
-func (r *Runner) plan(jobs []Job) []task {
-	if r.batchOff.Load() || len(jobs) < 2 {
-		tasks := make([]task, len(jobs))
-		for i := range jobs {
-			tasks[i] = task{single: i}
-		}
-		return tasks
-	}
-	tasks := make([]task, 0, len(jobs))
+// plan partitions job indices into groups sharing one trace identity, in
+// first-appearance order and chunked at maxBatchConfigs. Each group is one
+// unit of worker-pool scheduling and runs as one lockstep batch; a lone job
+// is a group of one.
+func plan(keys []runKey) [][]int {
 	groups := map[batchKey][]int{}
 	var order []batchKey
-	for i, j := range jobs {
-		key, ok := memoizable(j)
-		if !ok {
-			tasks = append(tasks, task{single: i})
-			continue
-		}
-		bk := batchKey{names: key.names, refs: key.refs, seed: key.seed}
+	for i, k := range keys {
+		bk := batchKey{names: k.names, refs: k.refs, seed: k.seed}
 		if groups[bk] == nil {
 			order = append(order, bk)
 		}
 		groups[bk] = append(groups[bk], i)
 	}
+	var tasks [][]int
 	for _, bk := range order {
 		idxs := groups[bk]
 		for lo := 0; lo < len(idxs); lo += maxBatchConfigs {
-			hi := min(lo+maxBatchConfigs, len(idxs))
-			if hi-lo == 1 {
-				tasks = append(tasks, task{single: idxs[lo]})
-			} else {
-				tasks = append(tasks, task{group: idxs[lo:hi]})
-			}
+			tasks = append(tasks, idxs[lo:min(lo+maxBatchConfigs, len(idxs))])
 		}
 	}
 	return tasks
@@ -433,7 +288,11 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 	if workers <= 0 {
 		workers = r.workers
 	}
-	tasks := r.plan(jobs)
+	keys := make([]runKey, len(jobs))
+	for i, j := range jobs {
+		keys[i] = memoizable(j)
+	}
+	tasks := plan(keys)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -447,22 +306,9 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 		}
 		errMu.Unlock()
 	}
-	runTask := func(t task) {
-		if t.group == nil {
-			// runCtx returns canceledResult-shaped placeholders on error, so
-			// results[i] always has one IPC slot per workload.
-			res, err := r.runCtx(ctx, jobs[t.single])
-			if err != nil {
-				noteErr(err)
-			}
-			results[t.single] = res
-			return
-		}
-		r.runGroup(ctx, jobs, t.group, results, noteErr)
-	}
 	if workers <= 1 {
 		for _, t := range tasks {
-			runTask(t)
+			r.runGroup(ctx, jobs, keys, t, results, noteErr)
 		}
 	} else {
 		var next atomic.Int64
@@ -476,7 +322,7 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 					if i >= len(tasks) {
 						return
 					}
-					runTask(tasks[i])
+					r.runGroup(ctx, jobs, keys, tasks[i], results, noteErr)
 				}
 			}()
 		}
@@ -485,105 +331,127 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 	return results, firstErr
 }
 
-// runGroup executes a group of memoizable jobs sharing one trace identity.
-// The memo and disk cache are consulted per config first: entries another
-// request already owns, and disk-cached configs, never join the batch. The
-// remaining owned configs advance in lockstep through one sim.RunBatchCtx
-// walk of the shared trace.
+// member is one job of a group together with its memo entry.
+type member struct {
+	idx int
+	key runKey
+	e   *memoEntry
+}
+
+// runGroup resolves one planned group. Every job's memo entry is acquired
+// first; the entries this request installed are filled together (see fill),
+// and only then are the entries other requests own awaited — this worker
+// holds no open entries by then, so waiting is deadlock-free. An awaited
+// entry whose owner was canceled, while this request's own context is live,
+// goes round the loop again, and this request may then own it.
 //
-// Failure isolation mirrors the serial path per entry: a canceled batch
-// records the error into every owned entry and drops them all — siblings are
-// never poisoned with a partial result — and a panic is recorded into every
-// owned entry before re-raising, so no waiter hangs on an open entry.
-func (r *Runner) runGroup(ctx context.Context, jobs []Job, idxs []int, results []sim.Result, noteErr func(error)) {
-	type member struct {
-		idx int
-		key runKey
-		e   *memoEntry
-	}
-	var owned []member
-	var rest []int // indices resolved through runCtx after the batch
-	var st ResultStore
-	for _, i := range idxs {
-		key, _ := memoizable(jobs[i])
-		e, owner, s := r.acquire(key)
-		st = s
-		if !owner {
-			// Someone else (possibly an earlier duplicate in this very group)
-			// is computing this entry; wait for it after the batch runs.
-			rest = append(rest, i)
-			continue
+// A panicking simulation re-raises for the owner and every waiter alike
+// (dspatchd's execute recovers it into a failed job); the entry is dropped,
+// so a resubmission re-simulates instead of reading a poisoned memo.
+func (r *Runner) runGroup(ctx context.Context, jobs []Job, keys []runKey, idxs []int, results []sim.Result, noteErr func(error)) {
+	for len(idxs) > 0 {
+		var owned, awaited []member
+		var st ResultStore
+		for _, i := range idxs {
+			e, owner, s := r.acquire(keys[i])
+			st = s
+			if mb := (member{idx: i, key: keys[i], e: e}); owner {
+				owned = append(owned, mb)
+			} else {
+				awaited = append(awaited, mb)
+			}
 		}
-		if res, ok := r.cacheGet(st, key); ok {
-			r.diskHits.Add(1)
-			e.res = res
-			close(e.done)
-			results[i] = res
-			continue
-		}
-		owned = append(owned, member{idx: i, key: key, e: e})
-	}
-
-	if len(owned) > 0 {
-		ws := jobs[owned[0].idx].Workloads
-		opts := make([]sim.Options, len(owned))
-		for k, mb := range owned {
-			opts[k] = jobs[mb.idx].Opt
-		}
-		func() {
-			start := time.Now()
-			defer func() {
-				if p := recover(); p != nil {
-					for _, mb := range owned {
-						mb.e.panicked = p
-						mb.e.err = fmt.Errorf("simulation panicked: %v", p)
-						close(mb.e.done)
-						r.dropEntry(mb.key, mb.e)
-					}
-					panic(p)
-				}
-			}()
-			batch, err := sim.RunBatchCtx(ctx, ws, opts)
-			if err != nil {
-				for _, mb := range owned {
-					mb.e.err = err
-					close(mb.e.done)
-					r.dropEntry(mb.key, mb.e)
-					results[mb.idx] = canceledResult(jobs[mb.idx])
-				}
+		if len(owned) > 0 {
+			if err := r.fill(ctx, st, jobs, owned, results); err != nil {
 				noteErr(err)
-				return
 			}
-			// One batch is one trace walk: wall time lands once, work
-			// (sims, refs) lands per member config.
-			r.simNanos.Add(uint64(time.Since(start)))
-			if len(owned) > 1 {
-				r.batches.Add(1)
-			}
-			for k, mb := range owned {
-				res := batch[k]
-				res.StripPorts()
-				r.sims.Add(1)
-				r.refsSim.Add(uint64(opts[k].Refs) * uint64(len(ws)))
-				r.cachePut(st, mb.key, res)
-				mb.e.res = res
-				close(mb.e.done)
-				results[mb.idx] = res
-			}
-		}()
-	}
-
-	// Entries owned elsewhere resolve through the serial path: by now the
-	// owner has finished or will shortly, so these become memo hits (or
-	// retries, if the owner was canceled). Waiting here is deadlock-free —
-	// this worker holds no open entries anymore.
-	for _, i := range rest {
-		res, err := r.runCtx(ctx, jobs[i])
-		if err != nil {
-			noteErr(err)
 		}
-		results[i] = res
+		var retry []int
+		for _, mb := range awaited {
+			<-mb.e.done
+			if mb.e.err == nil {
+				r.memoHits.Add(1)
+				results[mb.idx] = mb.e.res
+				continue
+			}
+			r.dropEntry(mb.key, mb.e)
+			if mb.e.panicked != nil {
+				panic(mb.e.panicked)
+			}
+			if err := ctx.Err(); err != nil {
+				results[mb.idx] = canceledResult(jobs[mb.idx])
+				noteErr(err)
+				continue
+			}
+			retry = append(retry, mb.idx)
+		}
+		idxs = retry
 	}
+}
+
+// fill computes the entries this request owns, all of one trace identity:
+// the persistent store first, then one lockstep sim.RunBatchCtx walk of the
+// shared trace for the rest. Every entry is closed on return. A canceled
+// batch records the error into every simulated entry and drops them all —
+// siblings are never poisoned with a partial result — and a panic is
+// recorded into each before re-raising, so no waiter hangs on an open entry.
+func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, owned []member, results []sim.Result) error {
+	cold := owned[:0]
+	for _, mb := range owned {
+		if res, ok := r.cacheGet(st, mb.key); ok {
+			r.diskHits.Add(1)
+			mb.e.res = res
+			close(mb.e.done)
+			results[mb.idx] = res
+			continue
+		}
+		cold = append(cold, mb)
+	}
+	if len(cold) == 0 {
+		return nil
+	}
+	ws := jobs[cold[0].idx].Workloads
+	opts := make([]sim.Options, len(cold))
+	for k, mb := range cold {
+		opts[k] = jobs[mb.idx].Opt
+	}
+	start := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			for _, mb := range cold {
+				mb.e.panicked = p
+				mb.e.err = fmt.Errorf("simulation panicked: %v", p)
+				close(mb.e.done)
+				r.dropEntry(mb.key, mb.e)
+			}
+			panic(p)
+		}
+	}()
+	batch, err := sim.RunBatchCtx(ctx, ws, opts)
+	if err != nil {
+		for _, mb := range cold {
+			mb.e.err = err
+			close(mb.e.done)
+			r.dropEntry(mb.key, mb.e)
+			results[mb.idx] = canceledResult(jobs[mb.idx])
+		}
+		return err
+	}
+	// One batch is one trace walk: wall time lands once, work (sims, refs)
+	// lands per member config.
+	r.simNanos.Add(uint64(time.Since(start)))
+	if len(cold) > 1 {
+		r.batches.Add(1)
+	}
+	for k, mb := range cold {
+		r.sims.Add(1)
+		r.refsSim.Add(uint64(opts[k].Refs) * uint64(len(ws)))
+		r.cachePut(st, mb.key, batch[k])
+		mb.e.res = batch[k]
+		close(mb.e.done)
+		results[mb.idx] = batch[k]
+	}
+	return nil
 }
 
 // RunJobs schedules jobs on the process-shared engine — the programmatic

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dspatch/internal/sim"
@@ -57,17 +58,20 @@ func TestRunAllPreservesJobOrder(t *testing.T) {
 	}
 }
 
+// runOne runs a single job on r, serially.
+func runOne(r *Runner, j Job) sim.Result { return r.RunAll([]Job{j}, 1)[0] }
+
 func TestRunMemoization(t *testing.T) {
 	w := trace.Workloads()[0]
 	opt := sim.DefaultST()
 	opt.Refs = 2_000
 
 	r := NewRunner(1)
-	first := r.run(SingleJob(w, opt))
+	first := runOne(r, SingleJob(w, opt))
 	if len(r.memo) != 1 {
 		t.Fatalf("baseline run should populate the memo, len = %d", len(r.memo))
 	}
-	second := r.run(SingleJob(w, opt))
+	second := runOne(r, SingleJob(w, opt))
 	if !eqFloats(first.IPC, second.IPC) {
 		t.Errorf("memoized result differs: %v vs %v", first.IPC, second.IPC)
 	}
@@ -76,11 +80,11 @@ func TestRunMemoization(t *testing.T) {
 	// its own key.
 	withPF := opt
 	withPF.L2 = sim.PFSPP
-	pf1 := r.run(SingleJob(w, withPF))
+	pf1 := runOne(r, SingleJob(w, withPF))
 	if len(r.memo) != 2 {
 		t.Fatalf("PF run should get its own memo entry, len = %d", len(r.memo))
 	}
-	pf2 := r.run(SingleJob(w, withPF))
+	pf2 := runOne(r, SingleJob(w, withPF))
 	if !eqFloats(pf1.IPC, pf2.IPC) {
 		t.Errorf("memoized PF result differs: %v vs %v", pf1.IPC, pf2.IPC)
 	}
@@ -88,23 +92,24 @@ func TestRunMemoization(t *testing.T) {
 		t.Error("baseline and PF runs should not share a key")
 	}
 
-	// A pollution-tracking run must not be memoized.
-	tracked := opt
-	tracked.TrackPollution = true
-	r.run(SingleJob(w, tracked))
-	if len(r.memo) != 2 {
-		t.Errorf("pollution-tracking run leaked into the memo, len = %d", len(r.memo))
+	// A pollution-tracking run is memoized under its own key, and its
+	// second call is a memo hit carrying the identical taxonomy.
+	tracked := tinyJob(t, "mcf", 10_000, sim.PFStreamer)
+	tracked.Opt.TrackPollution = true
+	poll1 := runOne(r, tracked)
+	if len(r.memo) != 3 {
+		t.Fatalf("pollution-tracking run should get its own memo entry, len = %d", len(r.memo))
 	}
-
-	// A port-inspecting run must bypass the memo and keep its ports.
-	needs := SingleJob(w, withPF)
-	needs.NeedPorts = true
-	res := r.run(needs)
-	if len(r.memo) != 2 {
-		t.Errorf("NeedPorts run leaked into the memo, len = %d", len(r.memo))
+	if poll1.Pollution == ([3]float64{}) {
+		t.Fatal("pollution-tracking run reported no pollution fractions")
 	}
-	if len(res.Ports()) == 0 {
-		t.Error("NeedPorts run lost its ports")
+	hits := r.Counters().MemoHits
+	poll2 := runOne(r, tracked)
+	if got := r.Counters().MemoHits - hits; got != 1 {
+		t.Errorf("second pollution run: %d memo hits, want 1", got)
+	}
+	if !reflect.DeepEqual(poll1, poll2) {
+		t.Errorf("memoized pollution result differs:\n%+v\n%+v", poll1, poll2)
 	}
 }
 
@@ -113,20 +118,17 @@ func TestMemoKeyIgnoresSMSPHTEntries(t *testing.T) {
 	opt := sim.DefaultST()
 	opt.Refs = 2_000
 
-	a, okA := memoizable(SingleJob(w, opt))
+	a := memoizable(SingleJob(w, opt))
 	swept := opt
 	swept.SMSPHTEntries = 256
-	b, okB := memoizable(SingleJob(w, swept))
-	if !okA || !okB {
-		t.Fatal("baseline jobs should be memoizable")
-	}
+	b := memoizable(SingleJob(w, swept))
 	if a != b {
 		t.Error("Fig. 5's PHT sweep should share one baseline per workload")
 	}
 
 	diff := opt
 	diff.Refs = 4_000
-	c, _ := memoizable(SingleJob(w, diff))
+	c := memoizable(SingleJob(w, diff))
 	if a == c {
 		t.Error("different Refs must produce a different baseline key")
 	}
@@ -136,9 +138,9 @@ func TestMemoKeySeparatesMixes(t *testing.T) {
 	opt := sim.DefaultMP()
 	opt.Refs = 2_000
 	w0, w1 := trace.Workloads()[0], trace.Workloads()[1]
-	a, _ := memoizable(Job{Workloads: []trace.Workload{w0, w1}, Opt: opt})
-	b, _ := memoizable(Job{Workloads: []trace.Workload{w1, w0}, Opt: opt})
-	c, _ := memoizable(Job{Workloads: []trace.Workload{w0, w1}, Opt: opt})
+	a := memoizable(Job{Workloads: []trace.Workload{w0, w1}, Opt: opt})
+	b := memoizable(Job{Workloads: []trace.Workload{w1, w0}, Opt: opt})
+	c := memoizable(Job{Workloads: []trace.Workload{w0, w1}, Opt: opt})
 	if a == b {
 		t.Error("mix order is core assignment; reordering must change the key")
 	}

@@ -30,28 +30,18 @@ type ResultStore interface {
 }
 
 // JobKey returns the canonical cache key of a job — the string the disk
-// cache hashes into a content address — and whether the job is memoizable
-// at all (pollution-tracking and port-inspecting runs are not). Two jobs
-// with equal keys are the same simulation: fleet coordinators shard and
-// deduplicate dispatches by this key.
-func JobKey(j Job) (string, bool) {
-	id, ok := JobID(j)
-	if !ok {
-		return "", false
-	}
-	return id.String(), true
-}
+// cache hashes into a content address. Two jobs with equal keys are the same
+// simulation: fleet coordinators shard and deduplicate dispatches by this
+// key.
+func JobKey(j Job) string { return JobID(j).String() }
 
-// RunID is a memoizable job's canonical identity as a comparable value, for
+// RunID is a job's canonical identity as a comparable value, for
 // deduplicating runs without rendering their string keys: two jobs with
 // equal RunIDs are the same simulation.
 type RunID struct{ k runKey }
 
-// JobID returns j's RunID and whether j is memoizable at all.
-func JobID(j Job) (RunID, bool) {
-	k, ok := memoizable(j)
-	return RunID{k}, ok
-}
+// JobID returns j's RunID.
+func JobID(j Job) RunID { return RunID{memoizable(j)} }
 
 // String is the canonical run key JobKey returns.
 func (id RunID) String() string { return id.k.keyString() }

@@ -23,8 +23,8 @@ import (
 //  1. Stream bytes are a pure function of the spec. All results — whatever
 //     worker produced them, in whatever order, after however many retries —
 //     flow through the same sweep.Recorder a local run uses, which emits in
-//     canonical index order. A fleet run is byte-identical to -batch=true on
-//     one machine.
+//     canonical index order. A fleet run is byte-identical to a local run
+//     on one machine.
 //  2. One failure path. Worker HTTP errors, 503 sheds, lease expiries and
 //     dead workers all funnel into sweep.Dispatcher.Fail: the run returns to
 //     the pending set behind a backoff gate and is re-dispatched elsewhere,

@@ -87,9 +87,6 @@ type Config struct {
 	MaxJobs int
 	// CacheDir, when non-empty, enables the engine's persistent run cache.
 	CacheDir string
-	// DisableBatch turns off the engine's lockstep batching of same-trace
-	// runs (the -batch=false A/B path). Results are identical either way.
-	DisableBatch bool
 	// DrainTimeout bounds how long Drain waits for running jobs before
 	// canceling them (default 30s).
 	DrainTimeout time.Duration
@@ -464,7 +461,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	experiments.SetBatching(!cfg.DisableBatch)
 	var fleet *FleetConfig
 	if cfg.Fleet != nil {
 		if len(cfg.Fleet.Workers) == 0 && cfg.Fleet.WorkersFile == "" {
@@ -811,7 +807,6 @@ func (s *Server) execute(ctx context.Context, j *job) (result, resultStats json.
 			return nil, nil, "", err
 		}
 		res := results[0]
-		res.StripPorts() // live memory-system state is not part of the API
 		if len(res.Prefetchers) > 0 {
 			s.recordPrefStats(res.Prefetchers)
 			full, err := marshalResult(res)

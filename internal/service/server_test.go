@@ -84,7 +84,6 @@ func TestRunJobMatchesLibraryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := results[0]
-	res.StripPorts()
 	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -574,6 +573,55 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %s", want)
 		}
+	}
+}
+
+// metricValue reads one unlabeled sample from a Prometheus text exposition.
+func metricValue(t *testing.T, text, name string) string {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("metrics missing %s", name)
+	return ""
+}
+
+// TestPollutionRunResubmissionIsMemoized: a track_pollution run is an
+// ordinary memoized run, so resubmitting it simulates nothing —
+// dspatchd_engine_sims_total stays flat — and returns the same bytes.
+func TestPollutionRunResubmissionIsMemoized(t *testing.T) {
+	_, c := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 1})
+	ctx := ctxT(t)
+	spec := RunSpec{Workloads: []string{"mcf"}, Refs: 10_000, L2: "streamer", Seed: 17, TrackPollution: true}
+	submit := func() (JobView, string) {
+		j, err := c.SubmitRun(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err = c.Wait(ctx, j.ID); err != nil {
+			t.Fatal(err)
+		}
+		if j.Status != StatusDone {
+			t.Fatalf("pollution run: %q (%s)", j.Status, j.Error)
+		}
+		text, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, metricValue(t, text, "dspatchd_engine_sims_total")
+	}
+	first, simsFirst := submit()
+	second, simsSecond := submit()
+	if simsSecond != simsFirst {
+		t.Errorf("resubmitted pollution run moved dspatchd_engine_sims_total %s -> %s", simsFirst, simsSecond)
+	}
+	if string(first.Result) != string(second.Result) {
+		t.Errorf("resubmitted pollution run differs:\n%s\n%s", first.Result, second.Result)
+	}
+	if !strings.Contains(string(first.Result), `"Pollution":[0.`) {
+		t.Errorf("pollution run result carries no pollution fractions: %s", first.Result)
 	}
 }
 

@@ -35,17 +35,33 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 	if len(opts) == 0 {
 		return nil, nil
 	}
-	n := len(ws)
-	if n == 0 {
+	if len(ws) == 0 {
 		panic("sim: no workloads")
 	}
+	machines, err := runBatchMachines(ctx, ws, opts)
+	out := make([]Result, len(opts))
+	for i := range out {
+		if err != nil {
+			out[i] = Result{IPC: make([]float64, len(ws))}
+		} else {
+			out[i] = machines[i].finish()
+		}
+	}
+	return out, err
+}
+
+// runBatchMachines builds the machines RunBatchCtx simulates and advances
+// them to completion, leaving each Result to the caller's finish so
+// in-package tests can inspect the live memory systems afterwards.
+func runBatchMachines(ctx context.Context, ws []trace.Workload, opts []Options) ([]*machine, error) {
+	n := len(ws)
 	for _, o := range opts[1:] {
 		if o.Refs != opts[0].Refs || o.Seed != opts[0].Seed {
 			panic("sim: RunBatch requires one trace identity (Refs, Seed) per batch")
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return canceledBatch(n, len(opts)), err
+		return nil, err
 	}
 
 	// A single-lane batch replays one literal cursor: each ref is fetched
@@ -137,7 +153,7 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 		var aborted atomic.Bool
 		for base := 0; base < refs; base += refChunk {
 			if canceled() {
-				return canceledBatch(n, len(opts)), ctx.Err()
+				return nil, ctx.Err()
 			}
 			chunk := buf[:min(refChunk, refs-base)]
 			for i := range chunk {
@@ -157,7 +173,7 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 				}
 			})
 			if aborted.Load() {
-				return canceledBatch(n, len(opts)), ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
 	} else {
@@ -168,7 +184,7 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 		live := len(machines)
 		for live > 0 {
 			if canceled() {
-				return canceledBatch(n, len(opts)), ctx.Err()
+				return nil, ctx.Err()
 			}
 			forEachMachine(func(m *machine) {
 				var ref trace.Ref
@@ -184,7 +200,7 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 				}
 			})
 			if aborted.Load() {
-				return canceledBatch(n, len(opts)), ctx.Err()
+				return nil, ctx.Err()
 			}
 			live = 0
 			for _, m := range machines {
@@ -195,11 +211,7 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 		}
 	}
 
-	out := make([]Result, len(machines))
-	for i, m := range machines {
-		out[i] = m.finish()
-	}
-	return out, nil
+	return machines, nil
 }
 
 // refChunk is the lockstep granularity: how many refs one machine advances
@@ -210,14 +222,3 @@ func RunBatchCtx(ctx context.Context, ws []trace.Workload, opts []Options) ([]Re
 // size barely matters. Cancellation stays responsive regardless: workers
 // poll inside the slice on RunCtx's cadence.
 const refChunk = 65536
-
-// canceledBatch builds the placeholder results of an aborted batch: zero
-// metrics with one IPC slot per workload, the same shape RunCtx returns on
-// cancellation.
-func canceledBatch(lanes, n int) []Result {
-	out := make([]Result, n)
-	for i := range out {
-		out[i] = Result{IPC: make([]float64, lanes)}
-	}
-	return out
-}

@@ -17,14 +17,9 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCtx: %v", err)
 	}
-	if !reflect.DeepEqual(stripPorts(want), stripPorts(got)) {
+	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("RunCtx result differs from Run:\n%+v\n%+v", want, got)
 	}
-}
-
-func stripPorts(r Result) Result {
-	r.StripPorts()
-	return r
 }
 
 func TestRunCtxCanceledBeforeStart(t *testing.T) {

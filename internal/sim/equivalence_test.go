@@ -34,7 +34,10 @@ type resultSnapshot struct {
 	DSPatchHit []uint64 // DSPatch Triggers counter per port, when present
 }
 
-func snapshot(r Result) resultSnapshot {
+// snapshot finishes m — a machine RunCtx or RunBatchCtx would build — and
+// reads its live memory system alongside the Result.
+func snapshot(m *machine) resultSnapshot {
+	r := m.finish()
 	s := resultSnapshot{
 		IPC:              r.IPC,
 		Cycles:           r.Cycles,
@@ -44,7 +47,8 @@ func snapshot(r Result) resultSnapshot {
 		AvgBandwidthGBps: r.AvgBandwidthGBps,
 		Pollution:        r.Pollution,
 	}
-	for i, p := range r.Ports() {
+	for i, l := range m.lanes {
+		p := l.ad.port
 		s.PortStats = append(s.PortStats, p.Stats())
 		s.Useful = append(s.Useful, p.UsefulPrefetches())
 		s.Unused = append(s.Unused, p.UnusedPrefetches())
@@ -61,6 +65,16 @@ func snapshot(r Result) resultSnapshot {
 	return s
 }
 
+// runSnapshot simulates ws under opt exactly as Run does and snapshots the
+// finished machine.
+func runSnapshot(ws []trace.Workload, opt Options) resultSnapshot {
+	m, err := runMachine(context.Background(), ws, opt)
+	if err != nil {
+		panic(err)
+	}
+	return snapshot(m)
+}
+
 // runBoth simulates the same job twice — once fully optimized (open-addressed
 // memory-system structures, hashed prefetcher-model lookups, replayed
 // materialized traces) and once fully in reference mode (map-based in-flight
@@ -68,9 +82,9 @@ func snapshot(r Result) resultSnapshot {
 // generators) — and returns both snapshots.
 func runBoth(ws []trace.Workload, opt Options) (optimized, reference resultSnapshot) {
 	opt.referenceMemsys, opt.referenceModels, opt.directGeneration = false, false, false
-	optimized = snapshot(Run(ws, opt))
+	optimized = runSnapshot(ws, opt)
 	opt.referenceMemsys, opt.referenceModels, opt.directGeneration = true, true, true
-	reference = snapshot(Run(ws, opt))
+	reference = runSnapshot(ws, opt)
 	return optimized, reference
 }
 
@@ -174,18 +188,21 @@ func batchRoster(rng *rand.Rand, base Options, k int) []Options {
 	return opts
 }
 
-// assertBatchMatchesSerial runs the roster once through RunBatch and once
-// config-at-a-time through Run, asserting bit-identical snapshots — every
-// Result field and every per-port stats counter.
+// assertBatchMatchesSerial runs the roster once through RunBatch's machines
+// and once config-at-a-time through Run's, asserting bit-identical snapshots
+// — every Result field and every per-port stats counter.
 func assertBatchMatchesSerial(t *testing.T, label string, ws []trace.Workload, opts []Options) {
 	t.Helper()
-	batch := RunBatch(ws, opts)
+	batch, err := runBatchMachines(context.Background(), ws, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(batch) != len(opts) {
-		t.Fatalf("%s: RunBatch returned %d results for %d configs", label, len(batch), len(opts))
+		t.Fatalf("%s: RunBatch built %d machines for %d configs", label, len(batch), len(opts))
 	}
 	for i, o := range opts {
 		got := snapshot(batch[i])
-		want := snapshot(Run(ws, o))
+		want := runSnapshot(ws, o)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: config %d (%s, llc=%d, dram=%+v, noL1=%v, poll=%v): batch result differs from serial\nbatch:  %+v\nserial: %+v",
 				label, i, o.L2, o.LLCBytes, o.DRAM, o.NoL1Stride, o.TrackPollution, got, want)

@@ -174,19 +174,3 @@ func NewPrefetcher(kind PF) prefetch.Prefetcher {
 	}
 	return f()
 }
-
-// FindDSPatch digs a DSPatch instance out of a (possibly composite)
-// prefetcher, or returns nil.
-func FindDSPatch(p prefetch.Prefetcher) *core.DSPatch {
-	switch v := p.(type) {
-	case *core.DSPatch:
-		return v
-	case *prefetch.Composite:
-		for _, part := range v.Parts() {
-			if d := FindDSPatch(part); d != nil {
-				return d
-			}
-		}
-	}
-	return nil
-}

@@ -146,26 +146,7 @@ type Result struct {
 	// lanes by model name; nil unless Options.CollectStats was set. Omitted
 	// from JSON when absent, so stats-free results keep their lean shape.
 	Prefetchers []PrefetcherStats `json:",omitempty"`
-
-	// ports are the live memory-system ports; see the Ports accessor.
-	ports []*memsys.Port
 }
-
-// Ports returns the live memory-system ports of a freshly computed Result,
-// for deep inspection (cache contents, model internals). Results that have
-// crossed a memo, disk cache or API boundary carry no live ports and return
-// nil.
-//
-// Deprecated: consumers should read the PortStats snapshot, or set
-// Options.CollectStats and read Prefetchers for model internals. This
-// accessor remains for one release for diagnostics that genuinely need the
-// live structures.
-func (r *Result) Ports() []*memsys.Port { return r.ports }
-
-// StripPorts drops the live port handles so only plain-data snapshots
-// remain. Callers that memoize, persist or marshal results call it first;
-// live mutable state must never escape through those paths.
-func (r *Result) StripPorts() { r.ports = nil }
 
 // memAdapter binds a port and the current reference so the cpu callback does
 // not allocate per access.
@@ -203,10 +184,22 @@ func RunCtx(ctx context.Context, ws []trace.Workload, opt Options) (Result, erro
 	if n == 0 {
 		panic("sim: no workloads")
 	}
+	m, err := runMachine(ctx, ws, opt)
+	if err != nil {
+		return Result{IPC: make([]float64, n)}, err
+	}
+	return m.finish(), nil
+}
+
+// runMachine builds the machine RunCtx simulates and runs it to completion,
+// leaving the Result to the caller's finish so in-package tests can inspect
+// the live memory system afterwards.
+func runMachine(ctx context.Context, ws []trace.Workload, opt Options) (*machine, error) {
+	n := len(ws)
 	if err := ctx.Err(); err != nil {
 		// Already canceled: skip lane setup (trace materialization alone can
 		// cost seconds at full scale).
-		return Result{IPC: make([]float64, n)}, err
+		return nil, err
 	}
 	m := newMachine(ws, opt, true)
 
@@ -222,7 +215,7 @@ func RunCtx(ctx context.Context, ws []trace.Workload, opt Options) (Result, erro
 		if done != nil && refsDone&cancelCheckMask == cancelCheckMask {
 			select {
 			case <-done:
-				return Result{IPC: make([]float64, n)}, ctx.Err()
+				return nil, ctx.Err()
 			default:
 			}
 		}
@@ -242,7 +235,7 @@ func RunCtx(ctx context.Context, ws []trace.Workload, opt Options) (Result, erro
 		l.gen.Next(&ref)
 		m.apply(l, &ref)
 	}
-	return m.finish(), nil
+	return m, nil
 }
 
 // simLane is one core's stream state within a machine: the core model, its
@@ -393,7 +386,6 @@ func (m *machine) finish() Result {
 			UsefulPrefetches: p.UsefulPrefetches(),
 			UnusedPrefetches: p.UnusedPrefetches(),
 		})
-		res.ports = append(res.ports, p)
 	}
 	if m.opt.CollectStats {
 		for _, l := range m.lanes {

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 
+	"dspatch/internal/core"
+	"dspatch/internal/prefetch"
 	"dspatch/internal/trace"
 )
 
@@ -141,6 +143,22 @@ func TestPollutionTracking(t *testing.T) {
 	if total < 0.99 || total > 1.01 {
 		t.Errorf("pollution fractions sum to %v", total)
 	}
+}
+
+// FindDSPatch digs a DSPatch instance out of a (possibly composite)
+// prefetcher, or returns nil.
+func FindDSPatch(p prefetch.Prefetcher) *core.DSPatch {
+	switch v := p.(type) {
+	case *core.DSPatch:
+		return v
+	case *prefetch.Composite:
+		for _, part := range v.Parts() {
+			if d := FindDSPatch(part); d != nil {
+				return d
+			}
+		}
+	}
+	return nil
 }
 
 func TestFindDSPatch(t *testing.T) {

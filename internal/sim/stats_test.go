@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -144,5 +145,49 @@ func TestCollectStatsMergesLanes(t *testing.T) {
 	}
 	if mergedTrains == 0 || singleTrains == 0 {
 		t.Fatalf("trigger counters missing (merged %d, single %d)", mergedTrains, singleTrains)
+	}
+}
+
+// TestCompressionHistTelemetryMatchesModel pins Fig. 11b's source: the
+// compression_mispred histogram a CollectStats run reports for the dspatch
+// model equals DSPatch's own CompressionHist counters, summed over every
+// lane's port of the machine that produced the Result.
+func TestCompressionHistTelemetryMatchesModel(t *testing.T) {
+	mix := []trace.Workload{wl("tpcc"), wl("mcf"), wl("linpack"), wl("tpcc")}
+	for _, pf := range []PF{PFDSPatch, PFDSPatchSPP} {
+		for _, ws := range [][]trace.Workload{mix[:1], mix} {
+			opt := DefaultST()
+			if len(ws) > 1 {
+				opt = DefaultMP()
+			}
+			opt.Refs = 6_000
+			opt.L2 = pf
+			opt.CollectStats = true
+			m, err := runMachine(context.Background(), ws, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := m.finish()
+			var want [6]uint64
+			for _, l := range m.lanes {
+				d := FindDSPatch(l.ad.port.L2Prefetcher())
+				if d == nil {
+					t.Fatalf("%s: no DSPatch on the L2 port", pf)
+				}
+				for i, v := range d.Stats().CompressionHist {
+					want[i] += v
+				}
+			}
+			var got []uint64
+			for _, st := range res.Prefetchers {
+				if st.Name == "dspatch" {
+					got = st.Histograms["compression_mispred"].Counts
+				}
+			}
+			if !reflect.DeepEqual(got, want[:]) {
+				t.Errorf("%s/%d lanes: telemetry compression_mispred = %v, model CompressionHist = %v",
+					pf, len(ws), got, want)
+			}
+		}
 	}
 }

@@ -361,8 +361,8 @@ func (c *Campaign) Expand() ([]int64, []Point, error) {
 			return nil, nil, fmt.Errorf("sweep: point %d: %w", idx, err)
 		}
 		if p.TrackPollution {
-			// Pollution-tracking runs bypass the engine memo, which would
-			// break the resume-for-free guarantee; keep them out of campaigns.
+			// Pollution fractions are not part of the stream (see Metrics),
+			// so a campaign would pay for the taxonomy and drop it.
 			return nil, nil, fmt.Errorf("sweep: point %d: track_pollution is not supported in campaigns", idx)
 		}
 		pts[i] = p

@@ -27,8 +27,8 @@ type Header struct {
 	BaselineL2 string `json:"baseline_l2"`
 }
 
-// Metrics is the per-point slice of sim.Result a campaign reports (live port
-// state and pollution fractions are not part of the stream).
+// Metrics is the per-point slice of sim.Result a campaign reports (pollution
+// fractions and per-port stats are not part of the stream).
 type Metrics struct {
 	IPC              []float64 `json:"ipc"`
 	Cycles           uint64    `json:"cycles"`
@@ -451,20 +451,12 @@ func (e *Engine) RunWith(ctx context.Context, c Campaign, emit func(json.RawMess
 		}
 	}
 
-	// Scheduling order: canonical index order, or — when the engine batches —
-	// points regrouped by trace identity so configs sharing one (mix, seed,
-	// refs) stream land in the same RunJobs call and advance in lockstep over
-	// a single trace walk. Only scheduling changes: the Recorder emits (and
-	// accumulates every float aggregate) strictly in index order, so the
-	// NDJSON stream is byte-identical either way.
-	order := make([]int, rec.Len())
-	for i := range order {
-		order[i] = i
-	}
-	if experiments.BatchingEnabled() {
-		order = groupedOrder(rec.pts)
-	}
-	rs := newRuns(e, rec, order, resolved)
+	// Scheduling order: points regrouped by trace identity, so configs
+	// sharing one (mix, seed, refs) stream land in the same RunJobs call and
+	// advance in lockstep over a single trace walk. Only scheduling changes:
+	// the Recorder emits (and accumulates every float aggregate) strictly in
+	// index order, so the NDJSON stream is independent of it.
+	rs := newRuns(e, rec, groupedOrder(rec.pts), resolved)
 
 	// Store pre-pass: runs the store already holds complete without
 	// executing. A torn or corrupt entry reads as a miss and the run
@@ -472,7 +464,7 @@ func (e *Engine) RunWith(ctx context.Context, c Campaign, emit func(json.RawMess
 	var storeHits uint64
 	pending := rs.pending[:0]
 	for _, r := range rs.pending {
-		if r.storable && rs.store != nil {
+		if rs.store != nil {
 			if res, ok := rs.store.Get(r.runKey()); ok {
 				storeHits++
 				r.durable = true
@@ -535,26 +527,21 @@ func (e *Engine) runLocal(ctx context.Context, rs *Runs) (*FleetSummary, error) 
 // run is one deduplicated simulation a campaign needs, and the point
 // positions waiting on it.
 type run struct {
-	id       experiments.RunID
-	storable bool   // memoizable: id is valid and the store can hold the run
-	key      string // canonical run key, rendered on first use (see runKey)
-	pt       Point
-	job      experiments.Job
-	slot     int // schedule slot of the first point needing it
-	res      *sim.Result
-	durable  bool // the result is in the store: a journal frame may cite it
-	waiters  []int
+	id      experiments.RunID
+	key     string // canonical run key, rendered on first use (see runKey)
+	pt      Point
+	job     experiments.Job
+	slot    int // schedule slot of the first point needing it
+	res     *sim.Result
+	durable bool // the result is in the store: a journal frame may cite it
+	waiters []int
 }
 
-// runKey is r's canonical key — the result-store key when storable. It is
-// rendered lazily: a local campaign without a store never needs it.
+// runKey is r's canonical key, the result-store key. It is rendered lazily:
+// a local campaign without a store never needs it.
 func (r *run) runKey() string {
 	if r.key == "" {
-		if r.storable {
-			r.key = r.id.String()
-		} else {
-			r.key = "raw:" + pointKey(r.pt)
-		}
+		r.key = r.id.String()
 	}
 	return r.key
 }
@@ -586,18 +573,14 @@ func newRuns(e *Engine, rec *Recorder, order []int, resolved []bool) *Runs {
 		e: e, rec: rec, jl: e.Journal, store: e.Store,
 		self: make([]*run, n), base: make([]*run, n), need: make([]int, n),
 	}
-	at := map[any]*run{} // RunID, or the point's JSON for unmemoizable runs
+	at := map[experiments.RunID]*run{}
 	add := func(p Point, pos, slot int) *run {
 		job := p.Job()
-		id, ok := experiments.JobID(job)
-		var dedup any = id
-		if !ok {
-			dedup = pointKey(p)
-		}
-		r := at[dedup]
+		id := experiments.JobID(job)
+		r := at[id]
 		if r == nil {
-			r = &run{id: id, storable: ok, pt: p, job: job, slot: slot}
-			at[dedup] = r
+			r = &run{id: id, pt: p, job: job, slot: slot}
+			at[id] = r
 			rs.pending = append(rs.pending, r)
 		}
 		if k := len(r.waiters); k == 0 || r.waiters[k-1] != pos {
@@ -646,7 +629,7 @@ func (rs *Runs) complete(r *run, res sim.Result) error {
 		return nil
 	}
 	r.res = &res
-	if r.storable && !r.durable && rs.store != nil {
+	if !r.durable && rs.store != nil {
 		if err := rs.store.Put(r.runKey(), res); err != nil {
 			rs.e.logf("campaign store degraded, results no longer durable: %v", err)
 			rs.store = nil
@@ -736,15 +719,6 @@ func groupedOrder(pts []Point) []int {
 		out = append(out, groups[k]...)
 	}
 	return out
-}
-
-// pointKey is the canonical identity of a normalized point within a batch.
-func pointKey(p Point) string {
-	b, err := json.Marshal(p)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: marshal point: %v", err))
-	}
-	return string(b)
 }
 
 func emitRec(emit func(json.RawMessage) error, v any) error {

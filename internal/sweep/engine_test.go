@@ -315,40 +315,6 @@ func TestCampaignMarginals(t *testing.T) {
 	}
 }
 
-// TestCampaignStreamIdenticalWithBatchingDisabled is the scheduling-only
-// proof for lockstep batching: the same campaign with the engine's batching
-// toggled off must produce a byte-identical NDJSON stream — batching may
-// change only how points are executed, never what is emitted.
-func TestCampaignStreamIdenticalWithBatchingDisabled(t *testing.T) {
-	c := Campaign{
-		Name: "batch-ab",
-		Base: Point{Refs: 613}, // distinctive refs: runs unique to this test
-		Axes: Axes{
-			Workloads: []Mix{{"mcf"}, {"tpcc"}},
-			Seeds:     []int64{5, 6},
-			L2:        []string{"none", "spp", "bop"},
-		},
-	}
-	eng := Engine{Workers: 2}
-	batched := collect(t, eng, c)
-	experiments.ResetMemo() // force the serial leg to actually re-simulate
-	experiments.SetBatching(false)
-	t.Cleanup(func() { experiments.SetBatching(true) })
-	serial := collect(t, eng, c)
-	if len(batched) != len(serial) {
-		t.Fatalf("batched run emitted %d records, serial %d", len(batched), len(serial))
-	}
-	for i := range batched {
-		a, b := batched[i], serial[i]
-		if i == len(batched)-1 {
-			a, b = stripSummaryTelemetry(t, a), stripSummaryTelemetry(t, b)
-		}
-		if a != b {
-			t.Errorf("record %d differs between -batch=true and -batch=false:\n%s\n%s", i, a, b)
-		}
-	}
-}
-
 // TestRunWithExecutorCompletesOutOfOrderAndDrops drives the lifecycle with
 // a custom Executor, as the fleet coordinator does: runs complete in
 // reverse order and one run is dropped. The points needing the dropped run

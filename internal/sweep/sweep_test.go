@@ -1,10 +1,14 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
+
+	"dspatch/internal/experiments"
+	"dspatch/internal/trace"
 )
 
 func TestMixUnmarshalStringOrArray(t *testing.T) {
@@ -161,4 +165,62 @@ func TestRandomSampleCoveringGridDegradesToGrid(t *testing.T) {
 	if !reflect.DeepEqual(idxs, []int64{0, 1}) {
 		t.Errorf("indices = %v, want [0 1]", idxs)
 	}
+}
+
+// FuzzCampaignExpand feeds arbitrary bytes through the CLI's strict campaign
+// decoding into Expand, which must never panic. Every point Expand returns
+// is normalized, and because run deduplication and fleet dispatch rest on
+// the run identity alone, its JSON round trip must normalize again to the
+// same JobKey. The shared scenario registry is reset for each input, so
+// inputs never see each other's scenarios.
+func FuzzCampaignExpand(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"grid","base":{"refs":691},"axes":{"workloads":["mcf","tpcc"],"l2":["none","spp"]}}`,
+		`{"base":{"workloads":["mcf","tpcc"],"collect_stats":true},"axes":{"seeds":[1,2],"llc_bytes":[1048576,4194304],"dram_channels":[1,2],"dram_mtps":[1600,2400]},"baseline_l2":"spp"}`,
+		`{"base":{"workloads":["linpack"]},"axes":{"l2":["sms","dspatch+spp"],"sms_pht_entries":[256,1024],"refs":[1000,5000000]},"sample":{"strategy":"random","points":3,"seed":9}}`,
+		`{"axes":{"workloads":["fz-chase",["fz-chase","mcf"]]},"scenarios":[{"name":"fz-chase","kind":"pointer","pointer":{"style":"list","nodes":1024,"nodes_per_page":8,"depth":64,"mean_gap":10}}]}`,
+		`{"base":{"workloads":["mcf"],"track_pollution":true},"axes":{}}`,
+		`{"base":{"workloads":["mcf"]},"axes":{"llc_bytes":[100000]},"max_points":1}`,
+		`{"axes":{"workloads":["mcf"]},"unknown":1}`,
+		`{"axes":{"seeds":[0,-1]},"base":{"workloads":["mcf","mcf","mcf","mcf","mcf","mcf","mcf","mcf","mcf"]}}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		trace.ResetShared()
+		defer trace.ResetShared()
+		var c Campaign
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&c) != nil {
+			return
+		}
+		for _, s := range c.Scenarios {
+			if s.Trace != nil && s.Trace.Path != "" {
+				return // reads the filesystem, not the spec
+			}
+		}
+		_, pts, err := c.Expand()
+		if err != nil {
+			return
+		}
+		for i, p := range pts {
+			key := experiments.JobKey(p.Job())
+			b, err := json.Marshal(p)
+			if err != nil {
+				t.Fatalf("point %d: marshal: %v", i, err)
+			}
+			var q Point
+			if err := json.Unmarshal(b, &q); err != nil {
+				t.Fatalf("point %d: unmarshal %s: %v", i, b, err)
+			}
+			if err := q.Normalize(); err != nil {
+				t.Fatalf("point %d: round trip %s no longer normalizes: %v", i, b, err)
+			}
+			if got := experiments.JobKey(q.Job()); got != key {
+				t.Fatalf("point %d: JobKey changed across a JSON round trip:\n%s\n%s", i, key, got)
+			}
+		}
+	})
 }
