@@ -180,8 +180,7 @@ func BenchmarkHeadline(b *testing.B) {
 }
 
 // BenchmarkHeadlineCold is the end-to-end simulation-throughput benchmark:
-// the memo is dropped each iteration so every simulation actually runs. This
-// is the number the BENCH_*.json perf trajectory tracks.
+// the memo is dropped each iteration so every simulation actually runs.
 func BenchmarkHeadlineCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.ResetMemo()

@@ -7,8 +7,6 @@
 //	dspatchsim -experiment all -parallel 8 # pin the simulation worker count
 //	dspatchsim -experiment all -cache-dir ~/.cache/dspatchsim  # reuse runs across invocations
 //	dspatchsim -campaign sweep.json -campaign-csv out.csv  # declarative parameter sweep (internal/sweep)
-//	dspatchsim -bench                      # emit a BENCH_<date>.json perf point
-//	dspatchsim -bench-diff OLD.json,NEW.json  # per-config ns/ref delta table
 //	dspatchsim -stats -workload tpcc       # one run with per-prefetcher telemetry tables
 //	dspatchsim -stats -workload tpcc -l2 dspatch+spp -stats-json  # same, machine-readable
 //	dspatchsim -trace-export tpcc.trace -workload tpcc -refs 50000
@@ -53,10 +51,6 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	refs := fs.Int("refs", 0, "override memory references per run")
 	parallel := fs.Int("parallel", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
 	list := fs.Bool("list", false, "list experiment ids")
-	bench := fs.Bool("bench", false, "measure simulator throughput and write a BENCH_<date>.json trajectory point")
-	benchOut := fs.String("bench-out", "", "path for the -bench JSON (default BENCH_<date>.json)")
-	benchDiff := fs.String("bench-diff", "", "OLD.json,NEW.json: print a per-config ns/ref delta table between two bench points")
-	benchGate := fs.Bool("bench-gate", false, "make -bench-diff a regression gate: exit non-zero when a config's ns/ref regresses past its threshold (gate_pct in OLD, default +5%)")
 	campaign := fs.String("campaign", "", "run a declarative campaign sweep from this JSON spec file (see internal/sweep)")
 	campaignOut := fs.String("campaign-out", "", "write the campaign NDJSON stream to this file (default stdout)")
 	campaignCSV := fs.String("campaign-csv", "", "also mirror campaign point records into this CSV file")
@@ -100,48 +94,30 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		return fail("-workload only applies to -trace-export or -stats")
 	case *stats && *workload == "":
 		return fail("-stats requires -workload")
-	case *stats && (*exp != "" || *bench || *benchDiff != "" || *campaign != "" || *traceExport != ""):
-		return fail("-stats cannot be combined with -experiment, -bench, -campaign or -trace-export")
+	case *stats && (*exp != "" || *campaign != "" || *traceExport != ""):
+		return fail("-stats cannot be combined with -experiment, -campaign or -trace-export")
 	case (set["l2"] || *statsJSON) && !*stats:
 		return fail("-l2/-stats-json only apply to -stats")
-	case set["bench-out"] && !*bench:
-		return fail("-bench-out only applies to -bench")
-	case *benchGate && *benchDiff == "":
-		return fail("-bench-gate only applies to -bench-diff")
 	case *noCache && *cacheDir == "":
 		return fail("-no-cache without -cache-dir has nothing to disable")
-	case *benchDiff != "" && (*exp != "" || *bench || *traceExport != "" || *traceImport != ""):
-		return fail("-bench-diff cannot be combined with -experiment, -bench or trace flags")
 	case (*campaignOut != "" || *campaignCSV != "") && *campaign == "":
 		return fail("-campaign-out/-campaign-csv only apply to -campaign")
-	case *campaign != "" && (*exp != "" || *bench || *benchDiff != "" || *traceExport != "" || *traceImport != ""):
-		return fail("-campaign cannot be combined with -experiment, -bench or trace flags")
+	case *campaign != "" && (*exp != "" || *traceExport != "" || *traceImport != ""):
+		return fail("-campaign cannot be combined with -experiment or trace flags")
 	case *campaign != "" && (set["refs"] || set["full"] || set["seed"]):
 		// Campaign scale lives in the spec; a silently-ignored override would
 		// leave the user comparing wrong-scale results.
 		return fail("-refs/-full/-seed do not apply to -campaign (set refs and seeds in the spec)")
 	case (set["convert-out"] || set["convert-name"] || set["convert-format"]) && *traceConvert == "":
 		return fail("-convert-out/-convert-name/-convert-format only apply to -trace-convert")
-	case *traceConvert != "" && (*exp != "" || *bench || *benchDiff != "" || *campaign != "" || *stats || *traceExport != "" || *traceImport != ""):
+	case *traceConvert != "" && (*exp != "" || *campaign != "" || *stats || *traceExport != "" || *traceImport != ""):
 		return fail("-trace-convert is a standalone conversion; import the result with -trace-import or a trace-kind scenario spec")
-	case *scenario != "" && *exp == "" && *campaign == "" && !*stats && *traceExport == "" && !*bench:
-		return fail("-scenario requires something to run it with: -experiment, -campaign, -stats, -bench or -trace-export")
+	case *scenario != "" && *exp == "" && *campaign == "" && !*stats && *traceExport == "":
+		return fail("-scenario requires something to run it with: -experiment, -campaign, -stats or -trace-export")
 	}
 
 	if *list {
 		fmt.Fprintln(stdout, strings.Join(experimentOrder, "\n"))
-		return 0
-	}
-	if *benchDiff != "" {
-		parts := strings.SplitN(*benchDiff, ",", 2)
-		if len(parts) != 2 {
-			fmt.Fprintln(stderr, "bench-diff: want OLD.json,NEW.json")
-			return 2
-		}
-		if err := runBenchDiff(parts[0], parts[1], *benchGate, stdout); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 		return 0
 	}
 	if *traceConvert != "" {
@@ -151,12 +127,10 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *exp == "" && !*bench && *traceExport == "" && *traceImport == "" && *campaign == "" && !*stats {
+	if *exp == "" && *traceExport == "" && *traceImport == "" && *campaign == "" && !*stats {
 		fmt.Fprintln(stderr, "usage: dspatchsim -experiment <id|all> [-full] [-refs N] [-parallel N] [-cache-dir DIR]")
 		fmt.Fprintln(stderr, "       dspatchsim -campaign SPEC.json [-campaign-out FILE.ndjson] [-campaign-csv FILE.csv]")
 		fmt.Fprintln(stderr, "       dspatchsim -stats -workload NAME [-l2 PF] [-refs N] [-seed N] [-stats-json]")
-		fmt.Fprintln(stderr, "       dspatchsim -bench [-refs N] [-bench-out FILE]")
-		fmt.Fprintln(stderr, "       dspatchsim -bench-diff OLD.json,NEW.json")
 		fmt.Fprintln(stderr, "       dspatchsim -trace-export FILE -workload NAME [-refs N] [-seed N]")
 		fmt.Fprintln(stderr, "       dspatchsim -trace-import FILE [-experiment ...]")
 		fmt.Fprintln(stderr, "       dspatchsim -trace-convert IN [-convert-out FILE.dsptrc] [-convert-name NAME] [-convert-format auto|text|champsim]")
@@ -221,7 +195,7 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		imported, importedKnown = m, known
 		fmt.Fprintf(stdout, "imported trace %s: workload %q seed %d refs %d\n",
 			*traceImport, m.Name(), m.Seed(), m.Len())
-		if *exp == "" && !*bench && *traceExport == "" && !*stats {
+		if *exp == "" && *traceExport == "" && !*stats {
 			return 0
 		}
 	}
@@ -236,7 +210,7 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "exported %d refs of %q (seed %d) to %s\n", n, *workload, *seed, *traceExport)
-		if *exp == "" && !*bench {
+		if *exp == "" {
 			return 0
 		}
 	}
@@ -275,23 +249,6 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		return 0
-	}
-
-	if *bench {
-		if imported != nil {
-			if short, need := benchNeedsLongerTrace(imported, *refs); short {
-				fmt.Fprintf(stderr, "trace-import: %q holds %d refs but the bench roster simulates %d per run; re-export with more refs\n",
-					imported.Name(), imported.Len(), need)
-				return 2
-			}
-		}
-		if _, err := runBench(*refs, *benchOut, stdout); err != nil {
-			fmt.Fprintln(stderr, "bench:", err)
-			return 1
-		}
-		if *exp == "" {
-			return 0
-		}
 	}
 
 	scale := experiments.Quick()

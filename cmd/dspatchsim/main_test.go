@@ -38,20 +38,17 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		want string // stderr substring
 	}{
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
+		{"removed bench flag", []string{"-bench"}, "flag provided but not defined"},
+		{"scenario with nothing to run", []string{"-scenario", "specs.json"}, "-scenario requires something to run it with: -experiment, -campaign, -stats or -trace-export"},
 		{"negative refs", []string{"-experiment", "fig4", "-refs", "-5"}, "-refs"},
 		{"negative parallel", []string{"-experiment", "fig4", "-parallel", "-2"}, "-parallel"},
 		{"malformed refs", []string{"-experiment", "fig4", "-refs", "many"}, "invalid value"},
 		{"workload without export", []string{"-workload", "tpcc", "-experiment", "fig4"}, "-workload"},
-		{"bench-out without bench", []string{"-bench-out", "x.json", "-experiment", "fig4"}, "-bench-out"},
 		{"no-cache without cache-dir", []string{"-no-cache", "-experiment", "fig4"}, "-no-cache"},
-		{"bench-diff with experiment", []string{"-bench-diff", "a.json,b.json", "-experiment", "fig4"}, "-bench-diff"},
-		{"bench-diff with bench", []string{"-bench-diff", "a.json,b.json", "-bench"}, "-bench-diff"},
-		{"bench-diff single file", []string{"-bench-diff", "only.json"}, "OLD.json,NEW.json"},
 		{"export without workload", []string{"-trace-export", "x.trace"}, "-workload"},
 		{"campaign-out without campaign", []string{"-campaign-out", "x.ndjson", "-experiment", "fig4"}, "-campaign-out"},
 		{"campaign-csv without campaign", []string{"-campaign-csv", "x.csv", "-experiment", "fig4"}, "-campaign-out"},
 		{"campaign with experiment", []string{"-campaign", "spec.json", "-experiment", "fig4"}, "-campaign"},
-		{"campaign with bench", []string{"-campaign", "spec.json", "-bench"}, "-campaign"},
 		{"campaign with refs", []string{"-campaign", "spec.json", "-refs", "5000"}, "in the spec"},
 		{"campaign with full", []string{"-campaign", "spec.json", "-full"}, "in the spec"},
 		{"campaign with seed", []string{"-campaign", "spec.json", "-seed", "2"}, "in the spec"},
@@ -125,39 +122,6 @@ func TestTablesNeedNoSimulation(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Total") {
 		t.Errorf("table1 output missing Total row:\n%s", out.String())
-	}
-}
-
-func TestBenchWritesValidTrajectory(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_test.json")
-	var stdout, errb bytes.Buffer
-	if code := appMain([]string{"-bench", "-refs", "1500", "-bench-out", out}, &stdout, &errb); code != 0 {
-		t.Fatalf("-bench exit code = %d, stderr: %s", code, errb.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("bench file not written: %v", err)
-	}
-	var f BenchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("bench file is not valid JSON: %v", err)
-	}
-	if f.Schema != benchSchema {
-		t.Errorf("schema = %q, want %q", f.Schema, benchSchema)
-	}
-	if len(f.Configs) != len(benchPlan()) {
-		t.Errorf("configs = %d, want %d", len(f.Configs), len(benchPlan()))
-	}
-	for _, c := range f.Configs {
-		if c.RefsPerSec <= 0 || c.NsPerRef <= 0 || c.WallNs <= 0 {
-			t.Errorf("%s: non-positive throughput fields: %+v", c.Name, c)
-		}
-		if c.AllocsPerRef < 0 {
-			t.Errorf("%s: negative allocs/ref", c.Name)
-		}
-	}
-	if !strings.Contains(stdout.String(), "refs/s") {
-		t.Errorf("-bench should print a human summary, got:\n%s", stdout.String())
 	}
 }
 
@@ -242,86 +206,6 @@ func TestCacheDirSecondRunIdentical(t *testing.T) {
 	}
 }
 
-func TestBenchDiffTable(t *testing.T) {
-	dir := t.TempDir()
-	oldP := filepath.Join(dir, "old.json")
-	newP := filepath.Join(dir, "new.json")
-	var out, errb bytes.Buffer
-	if code := appMain([]string{"-bench", "-refs", "400", "-bench-out", oldP}, &out, &errb); code != 0 {
-		t.Fatalf("bench exit %d: %s", code, errb.String())
-	}
-	if code := appMain([]string{"-bench", "-refs", "400", "-bench-out", newP}, &out, &errb); code != 0 {
-		t.Fatalf("bench exit %d: %s", code, errb.String())
-	}
-	out.Reset()
-	if code := appMain([]string{"-bench-diff", oldP + "," + newP}, &out, &errb); code != 0 {
-		t.Fatalf("bench-diff exit %d: %s", code, errb.String())
-	}
-	for _, want := range []string{"| config |", "dspatch+spp-tpcc", "%"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("bench-diff output missing %q:\n%s", want, out.String())
-		}
-	}
-	if code := appMain([]string{"-bench-diff", oldP + ",missing.json"}, &out, &errb); code != 1 {
-		t.Fatalf("bench-diff with missing NEW file: exit %d, want 1", code)
-	}
-}
-
-// TestBenchDiffNoBaseline: an absent or empty committed trajectory (a fresh
-// clone, a CI fork) must degrade to a "no baseline" table with exit 0, so
-// the diff step never fails a build that has nothing to compare against.
-// Only a corrupt baseline — a real problem — stays an error.
-func TestBenchDiffNoBaseline(t *testing.T) {
-	dir := t.TempDir()
-	newP := filepath.Join(dir, "new.json")
-	var out, errb bytes.Buffer
-	if code := appMain([]string{"-bench", "-refs", "400", "-bench-out", newP}, &out, &errb); code != 0 {
-		t.Fatalf("bench exit %d: %s", code, errb.String())
-	}
-
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	blank := filepath.Join(dir, "blank.json")
-	if err := os.WriteFile(blank, []byte("  \n\t"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name     string
-		old      string
-		wantCode int
-		wantOut  string
-	}{
-		{"absent old", filepath.Join(dir, "missing.json"), 0, "no baseline"},
-		{"empty old", empty, 0, "no baseline"},
-		{"whitespace old", blank, 0, "no baseline"},
-		{"corrupt old", corrupt, 1, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var out, errb bytes.Buffer
-			code := appMain([]string{"-bench-diff", tc.old + "," + newP}, &out, &errb)
-			if code != tc.wantCode {
-				t.Fatalf("exit = %d, want %d (stderr: %s)", code, tc.wantCode, errb.String())
-			}
-			if tc.wantCode != 0 {
-				return
-			}
-			for _, want := range []string{tc.wantOut, "| config |", "dspatch+spp-tpcc"} {
-				if !strings.Contains(out.String(), want) {
-					t.Errorf("output missing %q:\n%s", want, out.String())
-				}
-			}
-		})
-	}
-}
-
 func TestTraceImportTooShortForScale(t *testing.T) {
 	defer trace.ResetShared() // imports replace process-wide streams
 	dir := t.TempDir()
@@ -357,23 +241,6 @@ func TestTraceImportDisablesRunCache(t *testing.T) {
 	}
 	if entries, _ := filepath.Glob(filepath.Join(cache, "*.json")); len(entries) != 0 {
 		t.Errorf("cache entries written despite -trace-import: %v", entries)
-	}
-}
-
-func TestTraceImportBenchGuard(t *testing.T) {
-	defer trace.ResetShared() // imports replace process-wide streams
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tpcc.trace")
-	var out, errb bytes.Buffer
-	if code := appMain([]string{"-trace-export", path, "-workload", "tpcc", "-refs", "500"}, &out, &errb); code != 0 {
-		t.Fatalf("export exit %d: %s", code, errb.String())
-	}
-	errb.Reset()
-	if code := appMain([]string{"-trace-import", path, "-bench", "-refs", "2000"}, &out, &errb); code != 2 {
-		t.Fatalf("exit = %d, want 2 (bench exceeds imported length); stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "holds 500 refs") {
-		t.Errorf("error should explain the length limit: %s", errb.String())
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"dspatch/internal/trace"
 )
 
-// campaignRoster mirrors the `-bench` campaign series: four prefetchers
-// crossed with two LLC sizes, all sharing one (workload, seed, refs) trace
+// campaignRoster is a heterogeneous campaign: four prefetchers crossed with
+// two LLC sizes, all sharing one (workload, seed, refs) trace
 // identity so the whole roster qualifies for lockstep batching.
 func campaignRoster(refs int) []sim.Options {
 	pfs := []sim.PF{sim.PFNone, sim.PFSPP, sim.PFDSPatch, sim.PFDSPatchSPP}

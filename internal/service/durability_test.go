@@ -419,36 +419,41 @@ func TestRunningCampaignNeverEvicted(t *testing.T) {
 
 // TestClientCampaignEvictedError proves the typed 410 contract: the client
 // surfaces *CampaignEvictedError carrying the summary retained on the job.
+// A campaign's terminal status is published only after its retirement has
+// evicted the older stream, so the 410 must hold on every iteration, not
+// just most of them.
 func TestClientCampaignEvictedError(t *testing.T) {
-	_, c := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 1, MaxCampaignStreams: 1})
-	ctx := ctxT(t)
+	for iter := 0; iter < 20; iter++ {
+		_, c := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 1, MaxCampaignStreams: 1})
+		ctx := ctxT(t)
 
-	var ids []string
-	for _, refs := range []int{761, 769} {
-		j, err := c.SubmitCampaign(ctx, tinyCampaign(refs))
-		if err != nil {
-			t.Fatal(err)
+		var ids []string
+		for _, refs := range []int{761, 769} {
+			j, err := c.SubmitCampaign(ctx, tinyCampaign(refs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j, err = c.Wait(ctx, j.ID); err != nil || j.Status != StatusDone {
+				t.Fatalf("iteration %d: campaign: %v status %q", iter, err, j.Status)
+			}
+			ids = append(ids, j.ID)
 		}
-		if j, err = c.Wait(ctx, j.ID); err != nil || j.Status != StatusDone {
-			t.Fatalf("campaign: %v status %q", err, j.Status)
-		}
-		ids = append(ids, j.ID)
-	}
 
-	_, err := c.CampaignStream(ctx, ids[0], 0)
-	var ev *CampaignEvictedError
-	if !errors.As(err, &ev) {
-		t.Fatalf("evicted stream error = %v (%T), want *CampaignEvictedError", err, err)
-	}
-	if ev.ID != ids[0] {
-		t.Errorf("evicted ID = %q, want %q", ev.ID, ids[0])
-	}
-	var sum sweep.Summary
-	if err := json.Unmarshal(ev.Summary, &sum); err != nil || sum.Points != 4 {
-		t.Errorf("retained summary = %s (%v), want the campaign summary", ev.Summary, err)
-	}
-	if !strings.Contains(ev.Error(), ids[0]) {
-		t.Errorf("Error() = %q", ev.Error())
+		_, err := c.CampaignStream(ctx, ids[0], 0)
+		var ev *CampaignEvictedError
+		if !errors.As(err, &ev) {
+			t.Fatalf("iteration %d: evicted stream error = %v (%T), want *CampaignEvictedError", iter, err, err)
+		}
+		if ev.ID != ids[0] {
+			t.Errorf("iteration %d: evicted ID = %q, want %q", iter, ev.ID, ids[0])
+		}
+		var sum sweep.Summary
+		if err := json.Unmarshal(ev.Summary, &sum); err != nil || sum.Points != 4 {
+			t.Errorf("iteration %d: retained summary = %s (%v), want the campaign summary", iter, ev.Summary, err)
+		}
+		if !strings.Contains(ev.Error(), ids[0]) {
+			t.Errorf("iteration %d: Error() = %q", iter, ev.Error())
+		}
 	}
 }
 

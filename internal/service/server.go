@@ -293,6 +293,10 @@ type job struct {
 	started     time.Time
 	finished    time.Time
 	cancel      context.CancelFunc // set while running
+	// finishing is set once a path has claimed the job's terminal
+	// transition (see Server.finish); the status still reads queued or
+	// running until the transition is published.
+	finishing bool
 
 	cancelRequested atomic.Bool
 	done            chan struct{}
@@ -358,7 +362,7 @@ func (j *job) viewStats(includeResult, includeStats bool) JobView {
 func (j *job) claimRunning(cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.status != StatusQueued || j.finishing {
 		return false
 	}
 	j.status = StatusRunning
@@ -367,14 +371,34 @@ func (j *job) claimRunning(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish records a terminal status; it reports false if the job already
-// reached one (a cancel raced with completion).
-func (j *job) finish(st JobStatus, result, resultStats json.RawMessage, text, errMsg string) bool {
+// finish moves j from status from to the terminal status st, reporting false
+// if j was not in from or another path claimed the transition first (a
+// cancel raced with completion). The outcome counter moves and the campaign
+// stream retention runs before the status is published and done closes, so
+// a caller whose Wait returns never reads a stream that is about to be
+// evicted. Lock order: j.mu is released before retireCampaign takes s.mu.
+func (s *Server) finish(j *job, from, st JobStatus, result, resultStats json.RawMessage, text, errMsg string) bool {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status.Terminal() {
+	claimed := j.status == from && !j.finishing
+	if claimed {
+		j.finishing = true
+	}
+	j.mu.Unlock()
+	if !claimed {
 		return false
 	}
+	switch st {
+	case StatusDone:
+		s.completed.Add(1)
+	case StatusFailed:
+		s.failed.Add(1)
+	default:
+		s.canceled.Add(1)
+	}
+	s.retireCampaign(j)
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.status = st
 	j.result = result
 	j.resultStats = resultStats
@@ -751,10 +775,7 @@ func (s *Server) retireCampaign(j *job) {
 
 func (s *Server) runJob(j *job) {
 	if s.isDraining() || j.cancelRequested.Load() {
-		if j.finish(StatusCanceled, nil, nil, "", "canceled before start") {
-			s.canceled.Add(1)
-			s.retireCampaign(j)
-		}
+		s.finish(j, StatusQueued, StatusCanceled, nil, nil, "", "canceled before start")
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -772,20 +793,11 @@ func (s *Server) runJob(j *job) {
 	s.running.Add(-1)
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-		if j.finish(StatusCanceled, nil, nil, "", "canceled") {
-			s.canceled.Add(1)
-			s.retireCampaign(j)
-		}
+		s.finish(j, StatusRunning, StatusCanceled, nil, nil, "", "canceled")
 	case err != nil:
-		if j.finish(StatusFailed, nil, nil, "", err.Error()) {
-			s.failed.Add(1)
-			s.retireCampaign(j)
-		}
+		s.finish(j, StatusRunning, StatusFailed, nil, nil, "", err.Error())
 	default:
-		if j.finish(StatusDone, result, resultStats, text, "") {
-			s.completed.Add(1)
-			s.retireCampaign(j)
-		}
+		s.finish(j, StatusRunning, StatusDone, result, resultStats, text, "")
 	}
 }
 
@@ -1274,22 +1286,12 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.cancelRequested.Store(true)
-	j.mu.Lock()
-	canceledQueued := false
-	switch {
-	case j.status == StatusQueued:
-		j.status = StatusCanceled
-		j.errMsg = "canceled while queued"
-		j.finished = time.Now()
-		close(j.done)
-		s.canceled.Add(1)
-		canceledQueued = true
-	case j.status == StatusRunning && j.cancel != nil:
-		j.cancel()
-	}
-	j.mu.Unlock()
-	if canceledQueued {
-		s.retireCampaign(j)
+	if !s.finish(j, StatusQueued, StatusCanceled, nil, nil, "", "canceled while queued") {
+		j.mu.Lock()
+		if j.status == StatusRunning && j.cancel != nil {
+			j.cancel()
+		}
+		j.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, j.view(true))
 }

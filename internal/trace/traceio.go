@@ -102,7 +102,11 @@ func (m *Materialized) Export(w io.Writer, n int) error {
 // Import reads a trace file written by Export, eagerly: the whole stream is
 // read, checksummed and decoded before it returns. A truncated, corrupted or
 // differently-versioned file returns an error rather than a partially-loaded
-// trace. For O(1)-startup loading of files on disk, see ImportFile.
+// trace, and so does one Export would not have written byte for byte
+// (overlong varints, trailing bytes, flag bits past the last ref): an
+// accepted file re-exports to the same bytes, so its content fingerprint is
+// a function of its refs. For O(1)-startup loading of files on disk, see
+// ImportFile.
 func Import(r io.Reader) (*Materialized, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -233,13 +237,16 @@ func (m *Materialized) decodeColumnsLocked() error {
 		m.lines = make([]memaddr.Line, 0, n)
 		var last memaddr.Line
 		for i := 0; i < n; i++ {
-			u, w := binary.Uvarint(deltas)
+			u, w := canonicalUvarint(deltas)
 			if w <= 0 {
-				return fmt.Errorf("trace: import: truncated delta column at ref %d", i)
+				return fmt.Errorf("trace: import: truncated or overlong delta at ref %d", i)
 			}
 			deltas = deltas[w:]
 			last = memaddr.Line(int64(last) + unzigzag(u))
 			m.lines = append(m.lines, last)
+		}
+		if len(deltas) != 0 {
+			return fmt.Errorf("trace: import: %d bytes past the last delta", len(deltas))
 		}
 	}
 	m.pcIdx = make([]uint32, n)
@@ -253,6 +260,7 @@ func (m *Materialized) decodeColumnsLocked() error {
 	// Split the flag columns back into complete words + the partial word
 	// (held out-of-array in memory; see Materialized).
 	full := n / 64
+	var stray bool // a partial word has bits set past the last ref
 	readFlagColumn := func() ([]uint64, uint64) {
 		words := make([]uint64, full)
 		for i := range words {
@@ -261,6 +269,7 @@ func (m *Materialized) decodeColumnsLocked() error {
 		var cur uint64
 		if n%64 != 0 {
 			cur = binary.LittleEndian.Uint64(d.take(8))
+			stray = stray || cur>>uint(n%64) != 0
 		}
 		return words, cur
 	}
@@ -268,6 +277,12 @@ func (m *Materialized) decodeColumnsLocked() error {
 	m.dep, m.depCur = readFlagColumn()
 	if d.err != nil {
 		return fmt.Errorf("trace: import: %w", d.err)
+	}
+	if stray {
+		return fmt.Errorf("trace: import: flag bits set past ref %d", n)
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("trace: import: %d trailing bytes after the columns", len(d.b))
 	}
 	for _, idx := range m.pcIdx {
 		if int(idx) >= dictLen {
@@ -300,13 +315,23 @@ func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	u, w := binary.Uvarint(d.b)
+	u, w := canonicalUvarint(d.b)
 	if w <= 0 {
-		d.err = fmt.Errorf("truncated varint")
+		d.err = fmt.Errorf("truncated or overlong varint")
 		return 0
 	}
 	d.b = d.b[w:]
 	return u
+}
+
+// canonicalUvarint is binary.Uvarint that also refuses overlong encodings,
+// which end in a 0x00 byte; PutUvarint never writes one.
+func canonicalUvarint(b []byte) (uint64, int) {
+	u, w := binary.Uvarint(b)
+	if w > 1 && b[w-1] == 0 {
+		return 0, 0
+	}
+	return u, w
 }
 
 // writeUvarint writes a varint to w; errors surface through the CRC check on
