@@ -67,9 +67,9 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dspatchd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8491", "listen address")
-	jobWorkers := fs.Int("job-workers", 0, "concurrent job workers / queue shards (0 = default 2)")
+	jobWorkers := fs.Int("job-workers", 0, "concurrent job workers (0 = default 2)")
 	simWorkers := fs.Int("sim-workers", 0, "simulation goroutines per job (0 = GOMAXPROCS/job-workers)")
-	queue := fs.Int("queue", 0, "queued jobs per worker shard before 503 (0 = default 64)")
+	queue := fs.Int("queue", 0, "queued jobs per job worker before 503 (0 = default 64)")
 	maxJobs := fs.Int("max-jobs", 0, "retained job records before eviction (0 = default 4096)")
 	cacheDir := fs.String("cache-dir", "", "persistent run-cache directory shared with dspatchsim")
 	noCache := fs.Bool("no-cache", false, "ignore -cache-dir (force every simulation to run)")

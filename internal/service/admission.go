@@ -20,8 +20,8 @@ import (
 //     campaigns shed until the count falls to the low watermark. The
 //     hysteresis gap keeps the daemon from flapping at the boundary.
 //
-// Both gates shed with 503 + Retry-After, the same contract as a full queue
-// shard, so the client's RetryPolicy (see client.go) handles all three
+// Both gates shed with 503 + Retry-After, the same contract as a full job
+// queue, so the client's RetryPolicy (see client.go) handles all three
 // identically: back off and retry.
 
 // clientIDHeader carries the client-supplied identity quotas key on.

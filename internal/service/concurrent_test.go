@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"dspatch/internal/experiments"
 )
@@ -162,5 +164,88 @@ func TestSecondSubmissionServedFromDiskCache(t *testing.T) {
 	}
 	if hits := afterSecond.DiskHits - afterFirst.DiskHits; hits != 1 {
 		t.Errorf("disk cache hits = %d, want 1", hits)
+	}
+}
+
+// TestIdleWorkerTakesQueuedCampaign: the job queue is work-conserving. With
+// two workers busy on one long campaign, a second campaign starts on the
+// idle worker at once instead of waiting for the first to finish, and two
+// identical campaigns in flight at once still simulate each run only once.
+func TestIdleWorkerTakesQueuedCampaign(t *testing.T) {
+	experiments.ResetMemo()
+	_, c := newTestServer(t, Config{JobWorkers: 2, SimWorkers: 1})
+	ctx := ctxT(t)
+
+	// Both specs landed on one worker's queue under the former per-spec
+	// routing (fnv-32a of "campaign" plus the spec's JSON, modulo
+	// JobWorkers), found by evaluating that rule on tinyCampaign over odd
+	// refs from 781 on: 791 is the first that shares maxRefs's queue.
+	long, err := c.SubmitCampaign(ctx, tinyCampaign(maxRefs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := c.SubmitCampaign(ctx, tinyCampaign(791))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		sv, err := c.Job(ctx, short.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv, err := c.Job(ctx, long.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lv.Status.Terminal() {
+			t.Fatalf("long campaign ended %q while the second campaign was %q", lv.Status, sv.Status)
+		}
+		if sv.Status != StatusQueued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("second campaign still queued behind the first with a worker idle")
+		}
+	}
+	if _, err := c.Cancel(ctx, long.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, long.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, short.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	// One spec submitted twice at once: both workers run it, and the later
+	// request waits on the memo entries the earlier one is filling.
+	spec := tinyCampaign(799)
+	const runs = 4 // two mixes × {none, spp}
+	before := experiments.EngineCounters()
+	var ids []string
+	for range 2 {
+		j, err := c.SubmitCampaign(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	var streams [][]json.RawMessage
+	for _, id := range ids {
+		j, err := c.Wait(ctx, id)
+		if err != nil || j.Status != StatusDone {
+			t.Fatalf("duplicate campaign: %v status %q (%s)", err, j.Status, j.Error)
+		}
+		recs, err := c.CampaignRecords(ctx, id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, recs[:len(recs)-1]) // the summary carries telemetry
+	}
+	if sims := experiments.EngineCounters().Sims - before.Sims; sims != runs {
+		t.Errorf("two identical campaigns simulated %d runs, want %d", sims, runs)
+	}
+	if !reflect.DeepEqual(streams[0], streams[1]) {
+		t.Errorf("identical campaigns streamed different records:\n%s\n%s", streams[0], streams[1])
 	}
 }

@@ -363,26 +363,15 @@ func TestRunningCampaignNeverEvicted(t *testing.T) {
 	s, c := newTestServer(t, Config{JobWorkers: 2, SimWorkers: 1, MaxCampaignStreams: 1})
 	ctx := ctxT(t)
 
-	// A long-running campaign on one shard...
-	longSpec := tinyCampaign(maxRefs)
-	long, err := c.SubmitCampaign(ctx, longSpec)
+	// A long-running campaign on one worker...
+	long, err := c.SubmitCampaign(ctx, tinyCampaign(maxRefs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ...while finished campaigns churn through the retention window on the
-	// OTHER shard (same shardKey the daemon routes with — a churn campaign
-	// sharing the long one's shard would queue behind it instead of
-	// finishing first). Two terminal campaigns with cap 1 force an eviction.
-	longShard := shardKey(kindCampaign, &longSpec, 2)
-	var churn []int
-	for refs := 751; len(churn) < 2; refs += 2 {
-		spec := tinyCampaign(refs)
-		if shardKey(kindCampaign, &spec, 2) != longShard {
-			churn = append(churn, refs)
-		}
-	}
+	// other. Two terminal campaigns with cap 1 force an eviction.
 	var done []JobView
-	for _, refs := range churn {
+	for _, refs := range []int{751, 753} {
 		j, err := c.SubmitCampaign(ctx, tinyCampaign(refs))
 		if err != nil {
 			t.Fatal(err)

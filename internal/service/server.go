@@ -26,12 +26,13 @@
 //	GET    /readyz               readiness: 503 the moment draining begins
 //	GET    /metrics              Prometheus text format counters
 //
-// Jobs flow through a sharded worker pool: submissions hash to one of
-// JobWorkers bounded queues, so identical specs land on the same worker and
-// the second is served from the memo the first just filled. Each job runs
-// under its own context; DELETE cancels it mid-simulation, and draining the
-// server (SIGTERM in dspatchd) stops intake, lets running jobs finish within
-// the drain timeout, then cancels stragglers.
+// Jobs flow through one bounded queue that all JobWorkers workers drain, so
+// no job waits while a worker is idle. Identical specs in flight at once
+// still simulate once: the later one waits on the engine memo entry the
+// first is filling. Each job runs under its own context; DELETE cancels it
+// mid-simulation, and draining the server (SIGTERM in dspatchd) stops
+// intake, lets running jobs finish within the drain timeout, then cancels
+// stragglers.
 //
 // With Config.Fleet set the daemon is a campaign coordinator: campaign
 // points are deduplicated into runs, dispatched across worker daemons under
@@ -73,14 +74,15 @@ import (
 type Config struct {
 	// Addr is the listen address for ListenAndServe (default ":8491").
 	Addr string
-	// JobWorkers is the number of worker goroutines, each owning one shard
-	// of the job queue (default 2).
+	// JobWorkers is the number of worker goroutines draining the job queue
+	// (default 2).
 	JobWorkers int
 	// SimWorkers is the per-job simulation parallelism handed to the
 	// experiment engine (default GOMAXPROCS/JobWorkers, at least 1).
 	SimWorkers int
-	// QueueDepth bounds each worker shard's queue (default 64). A
-	// submission to a full shard is rejected with 503.
+	// QueueDepth is the number of queued jobs per worker (default 64): the
+	// queue holds JobWorkers*QueueDepth, and a submission to a full queue is
+	// rejected with 503.
 	QueueDepth int
 	// MaxJobs bounds retained job records; the oldest terminal jobs are
 	// evicted past it (default 4096).
@@ -433,7 +435,7 @@ type Server struct {
 	campDone []*job // terminal campaigns still holding their record stream
 	seq      int
 	draining bool
-	shards   []chan *job
+	queue    chan *job
 
 	drainCh chan struct{} // closed when draining starts; releases long-polls
 	wg      sync.WaitGroup
@@ -457,6 +459,9 @@ type Server struct {
 	campaignsResumed atomic.Uint64
 	activeCampaigns  atomic.Int64
 	pointsEmitted    atomic.Uint64 // across campaigns; drives CrashAfterPoints
+
+	// queueWait is each job's wait from submission to start, in seconds.
+	queueWait *histogram
 
 	// Per-prefetcher telemetry aggregated across every stats-collecting job
 	// this daemon finished, exported on /metrics as labeled series.
@@ -515,14 +520,14 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    baseCtx,
 		hardStop:   hardStop,
 		jobs:       map[string]*job{},
-		shards:     make([]chan *job, cfg.JobWorkers),
+		queue:      make(chan *job, cfg.JobWorkers*cfg.QueueDepth),
+		queueWait:  newHistogram(0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10),
 		drainCh:    make(chan struct{}),
 		start:      time.Now(),
 	}
-	for i := range s.shards {
-		s.shards[i] = make(chan *job, cfg.QueueDepth)
+	for range cfg.JobWorkers {
 		s.wg.Add(1)
-		go s.worker(s.shards[i])
+		go s.worker()
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -632,9 +637,8 @@ func (s *Server) resumeJournals() {
 			s.mu.Unlock()
 			continue
 		}
-		shard := shardKey(kindCampaign, j.camp, s.cfg.JobWorkers)
 		select {
-		case s.shards[shard] <- j:
+		case s.queue <- j:
 		default:
 			s.mu.Unlock()
 			s.cfg.Logf("journal %s: queue full, campaign %s stays on disk for the next restart",
@@ -667,9 +671,7 @@ func (s *Server) Drain(ctx context.Context) {
 	}
 	s.draining = true
 	close(s.drainCh)
-	for _, sh := range s.shards {
-		close(sh)
-	}
+	close(s.queue)
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -738,10 +740,10 @@ func cacheDirLabel() string {
 	return "off"
 }
 
-// worker drains one queue shard until it closes.
-func (s *Server) worker(shard chan *job) {
+// worker drains the job queue until it closes.
+func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range shard {
+	for j := range s.queue {
 		s.runJob(j)
 	}
 }
@@ -783,6 +785,7 @@ func (s *Server) runJob(j *job) {
 	if !j.claimRunning(cancel) {
 		return // canceled while queued; the cancel handler finished it
 	}
+	s.queueWait.observe(j.started.Sub(j.submitted).Seconds())
 	// A cancel request that arrived between the queue check and the claim
 	// saw no cancel func to call; honor it now.
 	if j.cancelRequested.Load() {
@@ -1019,8 +1022,8 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// submit registers j and enqueues it on its spec's shard.
-func (s *Server) submit(w http.ResponseWriter, j *job, shard int) {
+// submit registers j and enqueues it.
+func (s *Server) submit(w http.ResponseWriter, j *job) {
 	j.status = StatusQueued
 	j.submitted = time.Now()
 	j.done = make(chan struct{})
@@ -1041,7 +1044,7 @@ func (s *Server) submit(w http.ResponseWriter, j *job, shard int) {
 	s.seq++
 	j.id = fmt.Sprintf("j%06d", s.seq)
 	select {
-	case s.shards[shard] <- j:
+	case s.queue <- j:
 	default:
 		s.seq-- // id never observed
 		s.mu.Unlock()
@@ -1093,7 +1096,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := &job{kind: kindRun, run: &spec}
-	s.submit(w, j, shardKey(kindRun, &spec, s.cfg.JobWorkers))
+	s.submit(w, j)
 }
 
 func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
@@ -1109,7 +1112,7 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := &job{kind: kindCampaign, camp: &spec, feed: newCampaignFeed()}
-	s.submit(w, j, shardKey(kindCampaign, &spec, s.cfg.JobWorkers))
+	s.submit(w, j)
 }
 
 // handleCampaignStream writes the campaign's NDJSON records. Without ?wait=
@@ -1203,7 +1206,7 @@ func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	j := &job{kind: kindExperiment, expID: id, scale: &spec}
-	s.submit(w, j, shardKey(kindExperiment+"\x00"+id, &spec, s.cfg.JobWorkers))
+	s.submit(w, j)
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
@@ -1418,9 +1421,7 @@ func (s *Server) health() Health {
 	if s.draining {
 		h.Status = "draining"
 	}
-	for _, sh := range s.shards {
-		h.Queued += len(sh)
-	}
+	h.Queued = len(s.queue)
 	s.mu.Unlock()
 	return h
 }
@@ -1492,6 +1493,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counterf("dspatchd_engine_sim_seconds_total", "Wall seconds spent simulating.", float64(ec.SimNanos)/1e9)
 	gauge("dspatchd_engine_refs_per_second", "Aggregate simulation throughput.", refsPerSec)
 	gauge("dspatchd_uptime_seconds", "Seconds since daemon start.", float64(h.UptimeSeconds))
+	s.queueWait.write(&b, "dspatchd_job_queue_wait_seconds", "Seconds each job waited in the queue before a worker started it.")
 	s.writePrefMetrics(&b)
 	w.Write(b.Bytes())
 }

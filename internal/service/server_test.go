@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -572,6 +573,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %s", want)
+		}
+	}
+}
+
+// TestQueueWaitHistogram: dspatchd_job_queue_wait_seconds observes every
+// started job, and its cumulative _bucket series, _sum and _count only grow.
+func TestQueueWaitHistogram(t *testing.T) {
+	_, c := newTestServer(t, Config{JobWorkers: 1})
+	ctx := ctxT(t)
+	const name = "dspatchd_job_queue_wait_seconds"
+	var scrapes [][]float64 // per scrape: every bucket in order, then _sum, then _count
+	for _, refs := range []int{701, 703} {
+		j, err := c.SubmitRun(ctx, RunSpec{Workloads: []string{"linpack"}, Refs: refs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, j.ID); err != nil {
+			t.Fatal(err)
+		}
+		text, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vals []float64
+		for _, line := range strings.Split(text, "\n") {
+			series, v, ok := strings.Cut(line, " ")
+			if !ok || !strings.HasPrefix(series, name+"_") {
+				continue
+			}
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			if strings.HasPrefix(series, name+"_bucket") && len(vals) > 0 && f < vals[len(vals)-1] {
+				t.Errorf("scrape %d: %s below the previous bucket", len(scrapes), line)
+			}
+			vals = append(vals, f)
+		}
+		if len(vals) != 13+1+2 {
+			t.Fatalf("scrape %d: %d %s series, want 13 buckets, +Inf, _sum and _count:\n%s", len(scrapes), len(vals), name, text)
+		}
+		if n := vals[len(vals)-1]; n != float64(len(scrapes)+1) || vals[len(vals)-3] != n {
+			t.Errorf("scrape %d: +Inf bucket %g, _count %g, want %d jobs", len(scrapes), vals[len(vals)-3], n, len(scrapes)+1)
+		}
+		scrapes = append(scrapes, vals)
+	}
+	for i, v := range scrapes[1] {
+		if v < scrapes[0][i] {
+			t.Errorf("%s series %d fell from %g to %g", name, i, scrapes[0][i], v)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 
 	"dspatch/internal/experiments"
 	"dspatch/internal/sweep"
@@ -76,16 +74,4 @@ func (sp *ScaleSpec) scale() experiments.Scale {
 		s.Seed = sp.Seed
 	}
 	return s
-}
-
-// shardKey hashes a normalized spec to a worker shard, so identical
-// submissions land on the same worker and are served back-to-back from the
-// memo instead of simulating twice on two workers. kind disambiguates a run
-// from an experiment (or campaign) that happens to encode identically.
-func shardKey(kind string, spec any, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(kind))
-	b, _ := json.Marshal(spec)
-	h.Write(b)
-	return int(h.Sum32() % uint32(shards))
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -402,16 +403,6 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-// batchSize is how many points' runs go into one local RunJobs call — the
-// streaming granularity. Results are identical at any batch size.
-func (e *Engine) batchSize() int {
-	w := e.Workers
-	if w <= 0 {
-		w = 8
-	}
-	return min(max(4*w, 16), 256)
-}
-
 // An Executor produces the results of a campaign's pending runs, reporting
 // each through rs.Complete or rs.Drop, and returns once rs.Open() reaches
 // zero. It never touches the Recorder, journal or store: Engine owns them.
@@ -500,14 +491,23 @@ func (e *Engine) RunWith(ctx context.Context, c Campaign, emit func(json.RawMess
 }
 
 // runLocal executes the pending runs on the process-shared experiment
-// engine, in batches of the runs first needed by batchSize() consecutive
-// points of the schedule.
+// engine, one batch per Workers (or GOMAXPROCS) trace-identity groups of the
+// schedule, so a group's points stream as soon as its lockstep batch
+// finishes. Results are identical at any batch size.
 func (e *Engine) runLocal(ctx context.Context, rs *Runs) (*FleetSummary, error) {
-	B := e.batchSize()
+	w := e.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
 	for lo := 0; lo < len(rs.pending); {
 		hi := lo
 		var jobs []experiments.Job
-		for ; hi < len(rs.pending) && rs.pending[hi].slot/B == rs.pending[lo].slot/B; hi++ {
+		for groups := 1; hi < len(rs.pending); hi++ {
+			if hi > lo && rs.pending[hi].group != rs.pending[hi-1].group {
+				if groups++; groups > w {
+					break
+				}
+			}
 			jobs = append(jobs, rs.pending[hi].job)
 		}
 		results, err := experiments.RunJobs(ctx, jobs, e.Workers)
@@ -531,7 +531,7 @@ type run struct {
 	key     string // canonical run key, rendered on first use (see runKey)
 	pt      Point
 	job     experiments.Job
-	slot    int // schedule slot of the first point needing it
+	group   int // schedule group of the first point needing it
 	res     *sim.Result
 	durable bool // the result is in the store: a journal frame may cite it
 	waiters []int
@@ -565,21 +565,21 @@ type Runs struct {
 	open    int    // positions not yet completed or dropped
 }
 
-// newRuns deduplicates the points of order that replay left unresolved into
+// newRuns deduplicates the points of groups that replay left unresolved into
 // runs: each point's baseline partner, then its own run.
-func newRuns(e *Engine, rec *Recorder, order []int, resolved []bool) *Runs {
+func newRuns(e *Engine, rec *Recorder, groups [][]int, resolved []bool) *Runs {
 	n := rec.Len()
 	rs := &Runs{
 		e: e, rec: rec, jl: e.Journal, store: e.Store,
 		self: make([]*run, n), base: make([]*run, n), need: make([]int, n),
 	}
 	at := map[experiments.RunID]*run{}
-	add := func(p Point, pos, slot int) *run {
+	add := func(p Point, pos, group int) *run {
 		job := p.Job()
 		id := experiments.JobID(job)
 		r := at[id]
 		if r == nil {
-			r = &run{id: id, pt: p, job: job, slot: slot}
+			r = &run{id: id, pt: p, job: job, group: group}
 			at[id] = r
 			rs.pending = append(rs.pending, r)
 		}
@@ -589,18 +589,18 @@ func newRuns(e *Engine, rec *Recorder, order []int, resolved []bool) *Runs {
 		}
 		return r
 	}
-	slot := 0
-	for _, pos := range order {
-		if resolved != nil && resolved[pos] {
-			continue
+	for g, group := range groups {
+		for _, pos := range group {
+			if resolved != nil && resolved[pos] {
+				continue
+			}
+			self, base, hasBase := rec.Pair(pos)
+			if hasBase {
+				rs.base[pos] = add(base, pos, g)
+			}
+			rs.self[pos] = add(self, pos, g)
+			rs.open++
 		}
-		self, base, hasBase := rec.Pair(pos)
-		if hasBase {
-			rs.base[pos] = add(base, pos, slot)
-		}
-		rs.self[pos] = add(self, pos, slot)
-		rs.open++
-		slot++
 	}
 	return rs
 }
@@ -700,25 +700,24 @@ func strategyName(s string) string {
 	return s
 }
 
-// groupedOrder returns point positions regrouped by trace identity — the
+// groupedOrder returns point positions grouped by trace identity — the
 // (workload mix, refs, seed) triple jobs must share to batch — keeping
 // first-appearance order between groups and index order within each, so the
 // schedule is a pure function of the point list.
-func groupedOrder(pts []Point) []int {
-	groups := map[string][]int{}
-	var order []string
+func groupedOrder(pts []Point) [][]int {
+	at := map[string]int{}
+	var groups [][]int
 	for i, p := range pts {
 		k := fmt.Sprintf("%s\x00%d\x00%d", strings.Join(p.Workloads, "\x01"), p.Refs, p.Seed)
-		if groups[k] == nil {
-			order = append(order, k)
+		g, ok := at[k]
+		if !ok {
+			g = len(groups)
+			at[k] = g
+			groups = append(groups, nil)
 		}
-		groups[k] = append(groups[k], i)
+		groups[g] = append(groups[g], i)
 	}
-	out := make([]int, 0, len(pts))
-	for _, k := range order {
-		out = append(out, groups[k]...)
-	}
-	return out
+	return groups
 }
 
 func emitRec(emit func(json.RawMessage) error, v any) error {

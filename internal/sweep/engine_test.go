@@ -46,8 +46,8 @@ func stripSummaryTelemetry(t *testing.T, line string) string {
 // TestCampaignDeterministicStream is the determinism suite: the same spec
 // (and sampling seed) must yield a byte-identical NDJSON stream — modulo the
 // summary's telemetry fields — across runs, worker counts and batch sizes.
-// The sample is larger than one batch at one worker (16 points) and smaller
-// than one at eight (32), so the batch boundaries differ between the runs.
+// A local batch holds as many trace-identity groups as there are workers, so
+// the batch boundaries differ between the runs.
 func TestCampaignDeterministicStream(t *testing.T) {
 	c := Campaign{
 		Name: "det",
@@ -84,6 +84,44 @@ func TestCampaignDeterministicStream(t *testing.T) {
 	}
 }
 
+// TestRunLocalStreamsEachGroup: a local batch is the runs of Workers
+// trace-identity groups, so at one worker the first point record is emitted
+// as soon as the first group's lockstep batch finishes, before any other
+// group has simulated.
+func TestRunLocalStreamsEachGroup(t *testing.T) {
+	experiments.ResetMemo() // every run cold, also under -count
+	c := Campaign{
+		Name: "stream",
+		Base: Point{Refs: 1009},
+		Axes: Axes{
+			Workloads: []Mix{{"mcf"}, {"tpcc"}, {"linpack"}},
+			L2:        []string{"none", "spp", "bop"},
+		},
+	}
+	const firstGroupRuns = 3 // mcf under none, spp and bop
+	c0 := experiments.EngineCounters()
+	firstSims := uint64(0)
+	points := 0
+	_, err := (&Engine{Workers: 1}).Run(context.Background(), c, func(line json.RawMessage) error {
+		if bytes.Contains(line, []byte(`"type":"point"`)) {
+			if points == 0 {
+				firstSims = experiments.EngineCounters().Sims - c0.Sims
+			}
+			points++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if points != 9 {
+		t.Fatalf("points = %d, want 9", points)
+	}
+	if firstSims != firstGroupRuns {
+		t.Errorf("first point emitted after %d simulations, want the first group's %d", firstSims, firstGroupRuns)
+	}
+}
+
 // TestCampaignResumeSimulatesOnlyMissingPoints is the kill-and-resume proof:
 // a campaign canceled partway is resubmitted and must re-simulate only the
 // points the first run never finished — across both runs every distinct
@@ -102,7 +140,8 @@ func TestCampaignResumeSimulatesOnlyMissingPoints(t *testing.T) {
 	const totalPoints = 24 // every point is a distinct simulation
 
 	// Run 1: kill the campaign after the first batch lands. One worker
-	// batches 16 points, so the campaign spans two batches.
+	// batches one trace-identity group (a mix and seed, two points), so the
+	// campaign spans twelve batches.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	eng := Engine{Workers: 1}
@@ -124,9 +163,9 @@ func TestCampaignResumeSimulatesOnlyMissingPoints(t *testing.T) {
 		t.Fatalf("first (killed) run simulated %d of %d points; want a strict subset", simsFirst, totalPoints)
 	}
 
-	// Run 2: resubmit the identical campaign, at eight workers (one batch
-	// of 32). Only the missing points may simulate; everything the killed
-	// run completed comes from the memo.
+	// Run 2: resubmit the identical campaign, at eight workers (eight
+	// groups a batch). Only the missing points may simulate; everything the
+	// killed run completed comes from the memo.
 	eng = Engine{Workers: 8}
 	lines := collect(t, eng, c)
 	c2 := experiments.EngineCounters()

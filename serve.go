@@ -11,7 +11,7 @@ import (
 // job submitted over HTTP returns exactly what the equivalent Fig*/Simulate
 // call returns, and the two share one memo and persistent run cache.
 type (
-	// ServiceConfig parameterizes Serve/cmd/dspatchd (addr, worker shards,
+	// ServiceConfig parameterizes Serve/cmd/dspatchd (addr, job workers,
 	// queue depth, cache dir, drain timeout).
 	ServiceConfig = service.Config
 	// ServiceClient is a Go client for a running daemon.
