@@ -191,7 +191,7 @@ func TestCacheDirSecondRunIdentical(t *testing.T) {
 	if code := appMain(args, &out1, &errb); code != 0 {
 		t.Fatalf("first run exit %d, stderr: %s", code, errb.String())
 	}
-	entries, err := filepath.Glob(filepath.Join(cache, "*.json"))
+	entries, err := filepath.Glob(filepath.Join(cache, experiments.EntryGlob))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("cache dir empty after run (err %v)", err)
 	}
@@ -239,7 +239,7 @@ func TestTraceImportDisablesRunCache(t *testing.T) {
 	if !strings.Contains(errb.String(), "cache disabled") {
 		t.Errorf("stderr should note the disabled cache: %s", errb.String())
 	}
-	if entries, _ := filepath.Glob(filepath.Join(cache, "*.json")); len(entries) != 0 {
+	if entries, _ := filepath.Glob(filepath.Join(cache, experiments.EntryGlob)); len(entries) != 0 {
 		t.Errorf("cache entries written despite -trace-import: %v", entries)
 	}
 }

@@ -11,7 +11,7 @@
 package dram
 
 import (
-	"fmt"
+	"strconv"
 
 	"dspatch/internal/bitpattern"
 	"dspatch/internal/memaddr"
@@ -86,7 +86,7 @@ func (c Config) PeakCASPerWindow() int {
 }
 
 func (c Config) String() string {
-	return fmt.Sprintf("%dch-DDR4-%d", c.Channels, c.MTps)
+	return strconv.Itoa(c.Channels) + "ch-DDR4-" + strconv.Itoa(c.MTps)
 }
 
 // bank tracks one DRAM bank's row buffer and availability. Column accesses

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"log"
+	"strconv"
 
 	"dspatch/internal/sim"
 )
@@ -16,12 +16,16 @@ import (
 // Correctness rules:
 //
 //   - The address is a SHA-256 over every runKey field, so any change to the
-//     requested configuration is a different file.
+//     requested configuration is a different file. Each entry also stores
+//     its key, and a read checks it.
 //   - Each entry embeds sim.ResultVersion; entries stamped by an older (or
 //     newer) simulator behaviour are ignored and overwritten. Bump
 //     sim.ResultVersion on any behavioral change.
-//   - A corrupt or torn entry is treated as a miss: the run simulates and
-//     rewrites it. The cache can be deleted at any time.
+//   - Entries are the binary encoding of entry.go, checksummed: a corrupt or
+//     torn entry is treated as a miss, and the run simulates and rewrites
+//     it. The cache can be deleted at any time.
+//   - Every float is stored bit for bit, NaN and ±Inf included, so no
+//     Result can fail to encode.
 //   - Writes are atomic (temp file + rename), so concurrent processes racing
 //     on one entry at worst both simulate; neither observes a torn file.
 //   - A failing backend (disk full, permissions, read-only mount) degrades
@@ -30,49 +34,49 @@ import (
 //     untouched. The cache is an accelerator, never a correctness
 //     dependency.
 
-// cacheEntry is the on-disk layout. Key is stored for debuggability: the
-// filename is its hash.
-type cacheEntry struct {
-	Version int        `json:"result_version"`
-	Key     string     `json:"key"`
-	Result  sim.Result `json:"result"`
-}
-
 // keyString renders every runKey field in a stable, self-describing form.
 // It is the ResultStore key; DirStore hashes it into the content address.
 // trackPollution renders only when set, so keys of pollution-free runs are
 // the strings earlier builds wrote and their stored entries still hit.
 func (k runKey) keyString() string {
-	s := fmt.Sprintf("names=%q dram=%+v llc=%d refs=%d seed=%d l2=%s nol1=%t smspht=%d stats=%t",
-		k.names, k.dram, k.llcBytes, k.refs, k.seed, k.l2, k.noL1Stride, k.smsPHT, k.collectStats)
+	b := make([]byte, 0, 128+len(k.names))
+	b = append(b, "names="...)
+	b = strconv.AppendQuote(b, k.names)
+	b = append(b, " dram="...)
+	b = append(b, k.dram.String()...)
+	b = append(b, " llc="...)
+	b = strconv.AppendInt(b, int64(k.llcBytes), 10)
+	b = append(b, " refs="...)
+	b = strconv.AppendInt(b, int64(k.refs), 10)
+	b = append(b, " seed="...)
+	b = strconv.AppendInt(b, k.seed, 10)
+	b = append(b, " l2="...)
+	b = append(b, k.l2...)
+	b = append(b, " nol1="...)
+	b = strconv.AppendBool(b, k.noL1Stride)
+	b = append(b, " smspht="...)
+	b = strconv.AppendInt(b, int64(k.smsPHT), 10)
+	b = append(b, " stats="...)
+	b = strconv.AppendBool(b, k.collectStats)
 	if k.trackPollution {
-		s += " pollution=true"
+		b = append(b, " pollution=true"...)
 	}
-	return s
+	return string(b)
 }
 
 // logWarnf receives the engine's rare operational warnings (one line when
 // cache writes are disabled). Tests swap it to observe the log.
 var logWarnf func(format string, args ...any) = log.Printf
 
-// cacheGet consults the configured store, counting nothing: callers account
-// for hits themselves.
-func (r *Runner) cacheGet(st ResultStore, key runKey) (sim.Result, bool) {
-	if st == nil {
-		return sim.Result{}, false
-	}
-	return st.Get(key.keyString())
-}
-
 // cachePut persists res, degrading gracefully on a failing backend: the
 // first write error (ENOSPC, EACCES, a vanished directory) is logged once,
 // further writes are disabled for this Runner, and simulation continues —
 // the read path is unaffected.
-func (r *Runner) cachePut(st ResultStore, key runKey, res sim.Result) {
+func (r *Runner) cachePut(st ResultStore, key string, res sim.Result) {
 	if st == nil || r.cacheWriteOff.Load() {
 		return
 	}
-	if err := st.Put(key.keyString(), res); err != nil {
+	if err := st.Put(key, res); err != nil {
 		if r.cacheWriteOff.CompareAndSwap(false, true) {
 			logWarnf("experiments: run-cache write failed (%v); disabling further cache writes, simulation continues", err)
 		}

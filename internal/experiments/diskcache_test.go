@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,7 +27,7 @@ func cacheTestJob(t *testing.T) Job {
 // entryFile returns the single cache entry in dir.
 func entryFile(t *testing.T, dir string) string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, EntryGlob))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("want exactly one cache entry, got %v (err %v)", files, err)
 	}
@@ -65,13 +64,13 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		t.Fatal(err)
+	key := JobKey(job)
+	res, ok := decodeEntry(data, key)
+	if !ok {
+		t.Fatal("stored entry does not decode")
 	}
-	e.Result.Cycles++
-	data, _ = json.Marshal(e)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	res.Cycles++
+	if err := os.WriteFile(path, encodeEntry(key, res), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r3 := NewRunner(1)
@@ -91,7 +90,7 @@ func TestDiskCacheCorruptFallback(t *testing.T) {
 	fresh := r1.RunAll([]Job{job}, 1)[0]
 
 	path := entryFile(t, dir)
-	if err := os.WriteFile(path, []byte("{definitely not json"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("definitely not an entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r2 := NewRunner(1)
@@ -99,17 +98,13 @@ func TestDiskCacheCorruptFallback(t *testing.T) {
 	if got := r2.RunAll([]Job{job}, 1)[0]; !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("corrupt-entry fallback produced a different result")
 	}
-	// The entry was rewritten and now parses with the current version.
+	// The entry was rewritten and now decodes at the current version.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		t.Fatalf("entry not rewritten after corruption: %v", err)
-	}
-	if e.Version != sim.ResultVersion {
-		t.Fatalf("rewritten entry version = %d, want %d", e.Version, sim.ResultVersion)
+	if got, ok := decodeEntry(data, JobKey(job)); !ok || !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("entry not rewritten after corruption: ok=%t", ok)
 	}
 }
 
@@ -124,24 +119,19 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 	fresh := r1.RunAll([]Job{job}, 1)[0]
 
 	path := entryFile(t, dir)
-	data, _ := os.ReadFile(path)
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		t.Fatal(err)
-	}
-	e.Version = sim.ResultVersion + 1
-	e.Result.Cycles += 99 // would be visible if the stale entry were served
-	data, _ = json.Marshal(e)
-	os.WriteFile(path, data, 0o644)
+	key := JobKey(job)
+	stale := fresh
+	stale.Cycles += 99 // would be visible if the stale entry were served
+	os.WriteFile(path, stampEntry(encodeEntry(key, stale), sim.ResultVersion+1), 0o644)
 
 	r2 := NewRunner(1)
 	r2.SetCacheDir(dir)
 	if got := r2.RunAll([]Job{job}, 1)[0]; !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("version-mismatched entry was served instead of re-simulated")
 	}
-	data, _ = os.ReadFile(path)
-	if err := json.Unmarshal(data, &e); err != nil || e.Version != sim.ResultVersion {
-		t.Fatalf("entry not restamped: version %d err %v", e.Version, err)
+	data, _ := os.ReadFile(path)
+	if got, ok := decodeEntry(data, key); !ok || !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("entry not restamped: ok=%t", ok)
 	}
 }
 
@@ -169,7 +159,7 @@ func TestDiskCacheDisabledIdentical(t *testing.T) {
 // rewriters (stand-ins for racing processes, whose cacheStore path — temp
 // file + os.Rename — is exactly what separate processes execute) while
 // readers re-read the entry file directly. Atomic rename means a reader must
-// only ever observe a complete, parseable JSON entry, never a prefix of an
+// only ever observe a complete entry that decodes, never a prefix of an
 // in-progress write.
 func TestDiskCacheNoTornReads(t *testing.T) {
 	dir := t.TempDir()
@@ -213,13 +203,8 @@ func TestDiskCacheNoTornReads(t *testing.T) {
 			t.Errorf("read during concurrent writes: %v", err)
 			break
 		}
-		var e cacheEntry
-		if err := json.Unmarshal(data, &e); err != nil {
-			t.Errorf("torn read after %d clean reads: %v\n%.120s", reads, err, data)
-			break
-		}
-		if e.Version != sim.ResultVersion || e.Key != key.keyString() {
-			t.Errorf("entry content corrupt: version=%d key=%q", e.Version, e.Key)
+		if _, ok := decodeEntry(data, key.keyString()); !ok {
+			t.Errorf("torn or corrupt read after %d clean reads: %d bytes", reads, len(data))
 			break
 		}
 		reads++
@@ -352,19 +337,25 @@ func TestDirStoreAndJobKey(t *testing.T) {
 		t.Fatalf("engine counters: %+v -> %+v, want one disk hit and no sims", c0, c1)
 	}
 
-	// A torn write (the fault-injection harness's PutRaw) is a miss.
-	if err := st.PutRaw(key, []byte(`{"result_version":`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(key); ok {
-		t.Fatal("torn entry served as a hit")
+	// A torn write (the fault-injection harness's PutRaw) is a miss, at
+	// every length short of the whole entry.
+	whole := encodeEntry(key, want)
+	for cut := range len(whole) {
+		if err := st.PutRaw(key, whole[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Get(key); ok {
+			t.Fatalf("entry torn at %d of %d bytes served as a hit", cut, len(whole))
+		}
 	}
 }
 
 // TestKeyStringPinned pins the run keys of a builtin job and a fingerprinted
-// scenario job to the exact strings earlier builds rendered, so run stores
-// and -cache-dir trees they wrote keep serving. Pollution tracking renders
-// only when on, leaving every other key unchanged.
+// scenario job to the exact strings earlier builds rendered, so a run
+// store's content addresses stay put across builds. (Entries written before
+// the binary entry encoding are misses all the same, and re-simulate once.)
+// Pollution tracking renders only when on, leaving every other key
+// unchanged.
 func TestKeyStringPinned(t *testing.T) {
 	builtin := cacheTestJob(t)
 	if got, want := JobKey(builtin), `names="linpack" dram=1ch-DDR4-2133 llc=2097152 refs=3000 seed=1 l2=dspatch+spp nol1=false smspht=0 stats=false`; got != want {

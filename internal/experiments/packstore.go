@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -18,19 +17,21 @@ import (
 // file instead of DirStore's one-file-per-entry directory. It trades
 // DirStore's rsync-friendliness for a store that is one file, one open
 // descriptor, and no per-entry filesystem metadata — the shape that suits a
-// coordinator's -store-dir on filesystems where a million small JSON files
-// hurt.
+// coordinator's -store-dir on filesystems where a million small files hurt.
 //
 // Layout: an 8-byte magic header ("DSPPACK1"), then frames of
 //
 //	u32 LE payload length | u32 LE CRC32-IEEE(payload) | payload
 //
-// where the payload is the same JSON cacheEntry DirStore writes. An
+// where the payload is the same entry (encodeEntry) a DirStore file holds. An
 // in-memory index maps key -> latest frame; re-Puts append a superseding
-// frame. Open scans the file, truncates a torn tail (the ResultStore
-// contract: a half-written entry is a miss, never an error), and compacts
-// superseded frames away by rewriting live entries to a temp file and
-// renaming over the original.
+// frame. Open scans the file, indexing each frame by the key in its entry
+// header, truncates a torn tail (the ResultStore contract: a half-written
+// entry is a miss, never an error), and compacts superseded frames away by
+// rewriting live entries to a temp file and renaming over the original. A
+// pack written by an earlier build holds JSON payloads, which the scan does
+// not recognise: it truncates them like a torn tail, so they re-simulate
+// once.
 //
 // PackStore is safe for concurrent use within one process. Unlike DirStore
 // it must NOT be shared between processes: appends from two writers would
@@ -49,10 +50,6 @@ type packLoc struct {
 }
 
 const packMagic = "DSPPACK1"
-
-// maxPackFrame bounds one frame's payload so a corrupt length word cannot
-// drive a huge allocation during the open scan.
-const maxPackFrame = 64 << 20
 
 // OpenPackStore opens (creating if needed) the pack store at path, scanning
 // existing frames, truncating any torn tail, and compacting superseded
@@ -113,7 +110,7 @@ func (s *PackStore) load() error {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxPackFrame {
+		if n == 0 || n > maxEntryLen {
 			break
 		}
 		payload := make([]byte, n)
@@ -123,11 +120,11 @@ func (s *PackStore) load() error {
 		if crc32.ChecksumIEEE(payload) != want {
 			break
 		}
-		var e cacheEntry
-		if err := json.Unmarshal(payload, &e); err != nil || e.Key == "" {
+		key, ok := entryKey(payload)
+		if !ok || key == "" {
 			break
 		}
-		s.index[e.Key] = packLoc{off: end + 8, n: int64(n)}
+		s.index[key] = packLoc{off: end + 8, n: int64(n)}
 		end += int64(8 + n)
 		frames++
 	}
@@ -210,28 +207,28 @@ func (s *PackStore) Get(key string) (sim.Result, bool) {
 	if !ok {
 		return sim.Result{}, false
 	}
-	payload := make([]byte, loc.n)
-	if _, err := f.ReadAt(payload, loc.off); err != nil {
-		return sim.Result{}, false
+	bp := entryBufs.Get().(*[]byte)
+	if int64(cap(*bp)) < loc.n {
+		*bp = make([]byte, loc.n)
 	}
-	var e cacheEntry
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return sim.Result{}, false
+	payload := (*bp)[:loc.n]
+	var res sim.Result
+	_, err := f.ReadAt(payload, loc.off)
+	ok = err == nil
+	if ok {
+		res, ok = decodeEntry(payload, key)
 	}
-	if e.Version != sim.ResultVersion || e.Key != key {
-		return sim.Result{}, false
+	if cap(*bp) <= maxPooledBuf {
+		entryBufs.Put(bp)
 	}
-	return e.Result, true
+	return res, ok
 }
 
 // Put implements ResultStore by appending a frame and fsyncing. On a write
 // error the file is truncated back to the last good frame, so a failed Put
 // leaves the store unchanged.
 func (s *PackStore) Put(key string, res sim.Result) error {
-	payload, err := json.Marshal(cacheEntry{Version: sim.ResultVersion, Key: key, Result: res})
-	if err != nil {
-		return err
-	}
+	payload := encodeEntry(key, res)
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))

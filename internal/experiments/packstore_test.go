@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -135,7 +134,7 @@ func TestPackStoreTornTail(t *testing.T) {
 // treat it as a miss (the DirStore contract).
 func TestPackStoreVersionMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.pack")
-	payload, _ := json.Marshal(cacheEntry{Version: sim.ResultVersion - 1, Key: "old", Result: packResult(4)})
+	payload := stampEntry(encodeEntry("old", packResult(4)), sim.ResultVersion-1)
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))

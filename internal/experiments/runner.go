@@ -336,6 +336,9 @@ type member struct {
 	idx int
 	key runKey
 	e   *memoEntry
+	// skey is key rendered as the store key, once per run, so a miss's Get
+	// and Put share it; empty when no store is configured.
+	skey string
 }
 
 // runGroup resolves one planned group. Every job's memo entry is acquired
@@ -398,12 +401,15 @@ func (r *Runner) runGroup(ctx context.Context, jobs []Job, keys []runKey, idxs [
 func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, owned []member, results []sim.Result) error {
 	cold := owned[:0]
 	for _, mb := range owned {
-		if res, ok := r.cacheGet(st, mb.key); ok {
-			r.diskHits.Add(1)
-			mb.e.res = res
-			close(mb.e.done)
-			results[mb.idx] = res
-			continue
+		if st != nil {
+			mb.skey = mb.key.keyString()
+			if res, ok := st.Get(mb.skey); ok {
+				r.diskHits.Add(1)
+				mb.e.res = res
+				close(mb.e.done)
+				results[mb.idx] = res
+				continue
+			}
 		}
 		cold = append(cold, mb)
 	}
@@ -446,7 +452,7 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, owned []m
 	for k, mb := range cold {
 		r.sims.Add(1)
 		r.refsSim.Add(uint64(opts[k].Refs) * uint64(len(ws)))
-		r.cachePut(st, mb.key, batch[k])
+		r.cachePut(st, mb.skey, batch[k])
 		mb.e.res = batch[k]
 		close(mb.e.done)
 		results[mb.idx] = batch[k]

@@ -3,10 +3,11 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"dspatch/internal/sim"
 )
@@ -47,13 +48,20 @@ func JobID(j Job) RunID { return RunID{memoizable(j)} }
 func (id RunID) String() string { return id.k.keyString() }
 
 // DirStore is the ResultStore the engine has always used, made pluggable: a
-// directory of content-addressed JSON entries whose filenames are the
-// SHA-256 of the run key. It is byte-compatible with -cache-dir, so a
-// fleet's shared -store-dir and a worker's local cache dir can be the same
-// directory (or rsync'd copies of each other).
+// directory of content-addressed entry files (see encodeEntry) whose
+// filenames are the SHA-256 of the run key. It is byte-compatible with
+// -cache-dir, so a fleet's shared -store-dir and a worker's local cache dir
+// can be the same directory (or rsync'd copies of each other).
 type DirStore struct {
 	dir string
 }
+
+// entryExt is the extension of a DirStore entry file. Entries of earlier
+// builds were ".json" files; a store never reads them, so they miss.
+const entryExt = ".run"
+
+// EntryGlob matches a DirStore's entry files under its root.
+const EntryGlob = "*" + entryExt
 
 // NewDirStore opens (creating if needed) a directory-backed store at dir.
 func NewDirStore(dir string) (*DirStore, error) {
@@ -72,33 +80,69 @@ func (s *DirStore) Dir() string { return s.dir }
 // PathOf returns the content address of key under the store root.
 func (s *DirStore) PathOf(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.dir, hex.EncodeToString(sum[:16])+".json")
+	return filepath.Join(s.dir, hex.EncodeToString(sum[:16])+entryExt)
 }
 
-// Get implements ResultStore: a valid, version-matched entry or a miss.
+// entryBufs pools the read buffers of Get and PackStore.Get: an entry is
+// decoded in place and every Result field is copied out, so the buffer is
+// free again once decodeEntry returns.
+var entryBufs = sync.Pool{New: func() any {
+	b := make([]byte, 4<<10)
+	return &b
+}}
+
+// maxPooledBuf keeps a rare large entry's buffer out of the pool.
+const maxPooledBuf = 64 << 10
+
+// Get implements ResultStore: a valid, version-matched entry or a miss. An
+// entry that fits the pooled buffer costs one open, one read and one close.
 func (s *DirStore) Get(key string) (sim.Result, bool) {
-	data, err := os.ReadFile(s.PathOf(key))
+	f, err := os.Open(s.PathOf(key))
 	if err != nil {
 		return sim.Result{}, false
 	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return sim.Result{}, false // torn or corrupt: simulate and rewrite
+	bp := entryBufs.Get().(*[]byte)
+	data, err := readEntry(f, bp)
+	f.Close()
+	var res sim.Result
+	ok := err == nil
+	if ok {
+		res, ok = decodeEntry(data, key) // torn, corrupt or stale: a miss
 	}
-	if e.Version != sim.ResultVersion {
-		return sim.Result{}, false // stale behaviour stamp: recompute
+	if cap(*bp) <= maxPooledBuf {
+		entryBufs.Put(bp)
 	}
-	return e.Result, true
+	return res, ok
+}
+
+// readEntry reads f whole into *bp. A read that leaves the buffer short of
+// full has reached the end of a regular file, so an entry that fits takes
+// one read; a fuller buffer grows and reads on to EOF, bounded by
+// maxEntryLen. A short read that was not the end truncates the entry, which
+// decodeEntry then rejects as a miss.
+func readEntry(f *os.File, bp *[]byte) ([]byte, error) {
+	buf := *bp
+	n, err := f.Read(buf)
+	for n == len(buf) && err == nil {
+		if len(buf) > maxEntryLen {
+			return nil, fmt.Errorf("experiments: entry exceeds %d bytes", maxEntryLen)
+		}
+		buf = append(buf, make([]byte, len(buf))...)
+		*bp = buf
+		var m int
+		m, err = f.Read(buf[n:])
+		n += m
+	}
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf[:n], nil
 }
 
 // Put implements ResultStore with an atomic temp-file + rename write, so
 // concurrent writers racing on one entry never leave a torn file visible.
 func (s *DirStore) Put(key string, res sim.Result) error {
-	data, err := json.Marshal(cacheEntry{Version: sim.ResultVersion, Key: key, Result: res})
-	if err != nil {
-		return err
-	}
-	return s.PutRaw(key, data)
+	return s.PutRaw(key, encodeEntry(key, res))
 }
 
 // PutRaw writes data verbatim as key's entry (atomically). It exists so

@@ -8,6 +8,8 @@
 // version coupling to any model's internals.
 package prefstats
 
+import "encoding/json"
+
 // Histogram is a flat histogram: parallel bucket-label and count slices.
 // Labels are part of the schema a model reports (e.g. "q0".."q3" for DRAM
 // bandwidth quartiles), so merges match buckets by label, not position.
@@ -158,4 +160,39 @@ func Merge(dst []Stats, src []Stats) []Stats {
 		}
 	}
 	return dst
+}
+
+// EncodeList renders snapshots in their deterministic JSON form, with nil
+// (no snapshots collected) as no bytes at all. Persistent stores embed it.
+func EncodeList(list []Stats) []byte {
+	if list == nil {
+		return nil
+	}
+	b, err := json.Marshal(list)
+	if err != nil {
+		panic("prefstats: " + err.Error()) // strings and uint64s always marshal
+	}
+	return b
+}
+
+// DecodeList parses EncodeList's output; no bytes decode to nil. Empty
+// counter and histogram maps decode to nil, as EncodeList omits both, so
+// a decoded list re-encodes and decodes to itself.
+func DecodeList(b []byte) ([]Stats, error) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	var list []Stats
+	if err := json.Unmarshal(b, &list); err != nil {
+		return nil, err
+	}
+	for i := range list {
+		if len(list[i].Counters) == 0 {
+			list[i].Counters = nil
+		}
+		if len(list[i].Histograms) == 0 {
+			list[i].Histograms = nil
+		}
+	}
+	return list, nil
 }

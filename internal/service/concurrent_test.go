@@ -167,6 +167,37 @@ func TestSecondSubmissionServedFromDiskCache(t *testing.T) {
 	}
 }
 
+// TestCacheEndpointCountsEntries: after one run, GET /v1/cache reports the
+// entry the run wrote to the daemon's run cache.
+func TestCacheEndpointCountsEntries(t *testing.T) {
+	experiments.ResetMemo()
+	t.Cleanup(func() {
+		if err := experiments.SetCacheDir(""); err != nil {
+			t.Error(err)
+		}
+	})
+	_, c := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 1, CacheDir: t.TempDir()})
+	ctx := ctxT(t)
+	j, err := c.SubmitRun(ctx, RunSpec{Workloads: []string{"tpcc"}, Refs: 1_150, L2: "spp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err = c.Wait(ctx, j.ID); err != nil || j.Status != StatusDone {
+		t.Fatalf("run: %v status %q (%s)", err, j.Status, j.Error)
+	}
+	var info struct {
+		Enabled bool  `json:"enabled"`
+		Entries int   `json:"entries"`
+		Bytes   int64 `json:"bytes"`
+	}
+	if err := c.do(ctx, "GET", "/v1/cache", nil, &info); err != nil {
+		t.Fatal(err)
+	}
+	if !info.Enabled || info.Entries < 1 || info.Bytes <= 0 {
+		t.Fatalf("/v1/cache = %+v, want at least one entry of more than 0 bytes", info)
+	}
+}
+
 // TestIdleWorkerTakesQueuedCampaign: the job queue is work-conserving. With
 // two workers busy on one long campaign, a second campaign starts on the
 // idle worker at once instead of waiting for the first to finish, and two

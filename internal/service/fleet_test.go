@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"dspatch/internal/experiments"
 	"dspatch/internal/service/chaos"
+	"dspatch/internal/sim"
 	"dspatch/internal/sweep"
 )
 
@@ -139,7 +141,15 @@ func TestFleetCampaignChaosByteIdentical(t *testing.T) {
 		}
 	}
 	tornKey := pointRunKey(t, sweep.Point{Workloads: []string{"tpcc"}, Refs: 673, L2: "spp"})
-	if err := ds.PutRaw(tornKey, []byte(`{"result_version":1,"key":"torn mid-`)); err != nil {
+	// A crash mid-write leaves a prefix of a real entry.
+	if err := ds.Put(tornKey, sim.Result{IPC: []float64{1}, Cycles: 1}); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(ds.PathOf(tornKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.PutRaw(tornKey, whole[:len(whole)/2]); err != nil {
 		t.Fatal(err)
 	}
 

@@ -115,7 +115,7 @@ type Config struct {
 	// only one given, it is adopted as StoreDir.
 	StoreDir string
 	// StoreBackend selects the ResultStore implementation under StoreDir:
-	// "dir" (default; one content-addressed JSON file per result, shareable
+	// "dir" (default; one content-addressed entry file per result, shareable
 	// between processes) or "pack" (a single append-only pack file owned by
 	// this daemon).
 	StoreBackend string
@@ -1381,7 +1381,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	info := cacheInfo{Dir: experiments.CacheDir()}
 	if info.Dir != "" {
 		info.Enabled = true
-		if matches, err := filepath.Glob(filepath.Join(info.Dir, "*.json")); err == nil {
+		if matches, err := filepath.Glob(filepath.Join(info.Dir, experiments.EntryGlob)); err == nil {
 			info.Entries = len(matches)
 			for _, m := range matches {
 				if st, err := os.Stat(m); err == nil {

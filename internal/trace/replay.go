@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dspatch/internal/memaddr"
@@ -111,6 +112,15 @@ func (m *Materialized) ensure(n int) {
 	if m.gen == nil {
 		panic(fmt.Sprintf("trace: imported trace %q holds %d refs, %d requested", m.name, m.n, n))
 	}
+	// Presize every column to n: growing by append would allocate several
+	// times the columns' final size on the way there.
+	add := n - m.n
+	m.lines = slices.Grow(m.lines, add)
+	m.pcIdx = slices.Grow(m.pcIdx, add)
+	m.gaps = slices.Grow(m.gaps, add)
+	words := n/64 - len(m.write)
+	m.write = slices.Grow(m.write, words)
+	m.dep = slices.Grow(m.dep, words)
 	var r Ref
 	for m.n < n {
 		m.gen.Next(&r)

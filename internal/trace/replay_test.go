@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -54,6 +55,29 @@ func TestReplayExtension(t *testing.T) {
 				t.Fatalf("short cursor diverges at ref %d after extension", i)
 			}
 		}
+	}
+}
+
+// TestMaterializePresized: materializing 100k refs allocates little beyond
+// the columns themselves, which ensure presizes instead of growing them by
+// append.
+func TestMaterializePresized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates a temporary per slices.Grow")
+	}
+	const n = 100_000
+	w, ok := ByName("mcf")
+	if !ok {
+		t.Fatal("roster is missing mcf")
+	}
+	m := &Materialized{name: w.Name, seed: 1, gen: w.Build(1)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.ensure(n)
+	runtime.ReadMemStats(&after)
+	columns := n*(8+4+2) + 2*(n/64)*8 // lines, pcIdx, gaps, write and dep words
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(columns)*3/2 {
+		t.Fatalf("materializing %d refs allocated %d bytes; columns hold %d (limit 1.5x)", n, alloc, columns)
 	}
 }
 
