@@ -24,13 +24,14 @@
 // Durability and self-protection (see the README's Durability section):
 //
 //	dspatchd -store-dir /var/lib/dspatchd            # crash-recoverable campaigns
-//	dspatchd -store-dir /var/lib/dspatchd -store pack
 //	dspatchd -quota-rate 2 -quota-burst 10 -campaign-high 16
 //
 // With -store-dir every campaign appends terminal point events to a
 // write-ahead journal; a crashed or restarted daemon resumes unsealed
 // campaigns under their original job IDs, re-running only unfinished
-// points while the NDJSON stream stays byte-identical.
+// points while the NDJSON stream stays byte-identical. The daemon keeps one
+// result store: -store-dir when given (it is then also the run cache),
+// otherwise -cache-dir.
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: intake stops, running
 // jobs get -drain-timeout to finish (then are canceled), and the process
@@ -71,8 +72,7 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	simWorkers := fs.Int("sim-workers", 0, "simulation goroutines per job (0 = GOMAXPROCS/job-workers)")
 	queue := fs.Int("queue", 0, "queued jobs per job worker before 503 (0 = default 64)")
 	maxJobs := fs.Int("max-jobs", 0, "retained job records before eviction (0 = default 4096)")
-	cacheDir := fs.String("cache-dir", "", "persistent run-cache directory shared with dspatchsim")
-	noCache := fs.Bool("no-cache", false, "ignore -cache-dir (force every simulation to run)")
+	cacheDir := fs.String("cache-dir", "", "persistent run-cache directory shared with dspatchsim (unused with -store-dir, which is also the run cache)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "how long running jobs may finish after SIGTERM")
 	maxWait := fs.Duration("max-wait", 30*time.Second, "cap on ?wait= long-polls and campaign follow streams")
 	maxCampStreams := fs.Int("max-campaign-streams", 0, "finished campaigns keeping their full NDJSON stream in memory (0 = default 64)")
@@ -80,8 +80,7 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workers := fs.String("workers", "", "comma-separated worker daemon URLs (requires -coordinator)")
 	workersFile := fs.String("workers-file", "", "worker roster file, one URL per line, reloaded periodically (requires -coordinator; joins admit via /readyz)")
 	workersReload := fs.Duration("workers-reload", 0, "roster reload period for -workers-file (0 = default 5s)")
-	storeDir := fs.String("store-dir", "", "durable result store + campaign journal directory (crash resume; fleet dedup)")
-	storeBackend := fs.String("store", "", "result store backend under -store-dir: dir (default) or pack")
+	storeDir := fs.String("store-dir", "", "durable result store + campaign journal directory (run cache; crash resume; fleet dedup)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "dispatch lease before a worker is presumed hung (0 = default 60s)")
 	maxAttempts := fs.Int("max-attempts", 0, "dispatches per point before it is dropped with a reason (0 = default 4)")
 	quotaRate := fs.Float64("quota-rate", 0, "per-client submission tokens per second (0 = quotas off; keyed by X-Dspatch-Client)")
@@ -118,8 +117,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Sprintf("-max-wait must be positive, got %s", *maxWait))
 	case *maxCampStreams < 0:
 		return fail(fmt.Sprintf("-max-campaign-streams must be non-negative, got %d", *maxCampStreams))
-	case *noCache && *cacheDir == "":
-		return fail("-no-cache without -cache-dir has nothing to disable")
 	case *coordinator && *workers == "" && *workersFile == "":
 		return fail("-coordinator requires -workers or -workers-file")
 	case *workers != "" && *workersFile != "":
@@ -132,10 +129,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail("-workers-reload requires -coordinator")
 	case *workersReload < 0:
 		return fail(fmt.Sprintf("-workers-reload must be non-negative, got %s", *workersReload))
-	case *storeBackend != "" && *storeBackend != "dir" && *storeBackend != "pack":
-		return fail(fmt.Sprintf("-store must be dir or pack, got %q", *storeBackend))
-	case *storeBackend != "" && *storeDir == "":
-		return fail("-store requires -store-dir")
 	case !*coordinator && (*leaseTTL != 0 || *maxAttempts != 0):
 		return fail("-lease-ttl/-max-attempts require -coordinator")
 	case *leaseTTL < 0:
@@ -159,12 +152,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *chaosWorker != "" && *chaosFile == "":
 		return fail("-chaos-worker requires -chaos-file")
 	}
-	activeCacheDir := *cacheDir
-	if *noCache {
-		activeCacheDir = ""
-		fmt.Fprintln(stderr, "note: persistent run cache disabled by -no-cache")
-	}
-
 	// Startup scenario registration: names become part of this daemon's
 	// roster before any request (or journal resume) resolves them. Campaigns
 	// can also carry their own inline "scenarios" block; this flag is for
@@ -199,7 +186,6 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Workers:       urls,
 			WorkersFile:   *workersFile,
 			WorkersReload: *workersReload,
-			StoreDir:      *storeDir,
 			LeaseTTL:      *leaseTTL,
 			MaxAttempts:   *maxAttempts,
 		}
@@ -228,12 +214,11 @@ func appMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		SimWorkers:         *simWorkers,
 		QueueDepth:         *queue,
 		MaxJobs:            *maxJobs,
-		CacheDir:           activeCacheDir,
+		CacheDir:           *cacheDir,
 		DrainTimeout:       *drain,
 		MaxWait:            *maxWait,
 		MaxCampaignStreams: *maxCampStreams,
 		StoreDir:           *storeDir,
-		StoreBackend:       *storeBackend,
 		QuotaRate:          *quotaRate,
 		QuotaBurst:         *quotaBurst,
 		CampaignHighWater:  *campHigh,

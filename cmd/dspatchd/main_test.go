@@ -25,6 +25,8 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		want string // stderr substring
 	}{
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
+		{"removed no-cache flag", []string{"-no-cache"}, "flag provided but not defined: -no-cache"},
+		{"removed store flag", []string{"-store-dir", "/tmp/results", "-store", "pack"}, "flag provided but not defined: -store"},
 		{"empty addr", []string{"-addr", ""}, "-addr"},
 		{"negative job workers", []string{"-job-workers", "-1"}, "-job-workers"},
 		{"negative sim workers", []string{"-sim-workers", "-2"}, "-sim-workers"},
@@ -36,15 +38,12 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"zero max wait", []string{"-max-wait", "0s"}, "-max-wait"},
 		{"negative max wait", []string{"-max-wait", "-10s"}, "-max-wait"},
 		{"negative campaign streams", []string{"-max-campaign-streams", "-1"}, "-max-campaign-streams"},
-		{"no-cache without cache-dir", []string{"-no-cache"}, "-no-cache"},
 		{"coordinator without workers", []string{"-coordinator"}, "-coordinator requires -workers"},
 		{"workers without coordinator", []string{"-workers", "http://w1:8491"}, "-workers requires -coordinator"},
 		{"workers-file without coordinator", []string{"-workers-file", "/tmp/workers.txt"}, "-workers-file requires -coordinator"},
 		{"workers and workers-file", []string{"-coordinator", "-workers", "http://w1", "-workers-file", "/tmp/w.txt"}, "mutually exclusive"},
 		{"workers-reload without coordinator", []string{"-workers-reload", "10s"}, "-workers-reload requires -coordinator"},
 		{"negative workers-reload", []string{"-coordinator", "-workers-file", "/tmp/w.txt", "-workers-reload", "-1s"}, "-workers-reload"},
-		{"unknown store backend", []string{"-store-dir", "/tmp/results", "-store", "sqlite"}, "-store must be dir or pack"},
-		{"store without store-dir", []string{"-store", "pack"}, "-store requires -store-dir"},
 		{"negative quota-rate", []string{"-quota-rate", "-1"}, "-quota-rate"},
 		{"negative quota-burst", []string{"-quota-burst", "-1"}, "-quota-burst"},
 		{"quota-burst without quota-rate", []string{"-quota-burst", "5"}, "-quota-burst requires -quota-rate"},

@@ -55,7 +55,6 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	campaignOut := fs.String("campaign-out", "", "write the campaign NDJSON stream to this file (default stdout)")
 	campaignCSV := fs.String("campaign-csv", "", "also mirror campaign point records into this CSV file")
 	cacheDir := fs.String("cache-dir", "", "persistent run-cache directory: completed simulations are reused across process invocations")
-	noCache := fs.Bool("no-cache", false, "ignore -cache-dir (force every simulation to run)")
 	stats := fs.Bool("stats", false, "run the -workload once with per-prefetcher telemetry and print the stats tables")
 	statsJSON := fs.Bool("stats-json", false, "emit the -stats output as JSON instead of tables")
 	l2 := fs.String("l2", "dspatch", "L2 prefetcher for -stats (see GET /v1/prefetchers or internal/sim)")
@@ -98,8 +97,6 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		return fail("-stats cannot be combined with -experiment, -campaign or -trace-export")
 	case (set["l2"] || *statsJSON) && !*stats:
 		return fail("-l2/-stats-json only apply to -stats")
-	case *noCache && *cacheDir == "":
-		return fail("-no-cache without -cache-dir has nothing to disable")
 	case (*campaignOut != "" || *campaignCSV != "") && *campaign == "":
 		return fail("-campaign-out/-campaign-csv only apply to -campaign")
 	case *campaign != "" && (*exp != "" || *traceExport != "" || *traceImport != ""):
@@ -141,12 +138,12 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 
 	// The run-cache directory is set (or cleared) on every invocation: the
 	// engine is process-global, so a stale directory from an earlier call in
-	// the same process must not leak into one that disabled it. An imported
+	// the same process must not leak into one without -cache-dir. An imported
 	// trace changes simulation inputs in a way the cache key (workload name
 	// + seed) cannot distinguish from the synthetic generator, so importing
 	// forces the cache off for the invocation.
 	activeCacheDir := ""
-	if *cacheDir != "" && !*noCache {
+	if *cacheDir != "" {
 		if *traceImport != "" {
 			fmt.Fprintln(stderr, "note: persistent run cache disabled for this invocation: -trace-import replaces a stream the cache key does not capture")
 		} else {

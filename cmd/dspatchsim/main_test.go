@@ -39,12 +39,12 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"removed bench flag", []string{"-bench"}, "flag provided but not defined"},
+		{"removed no-cache flag", []string{"-no-cache", "-experiment", "fig4"}, "flag provided but not defined: -no-cache"},
 		{"scenario with nothing to run", []string{"-scenario", "specs.json"}, "-scenario requires something to run it with: -experiment, -campaign, -stats or -trace-export"},
 		{"negative refs", []string{"-experiment", "fig4", "-refs", "-5"}, "-refs"},
 		{"negative parallel", []string{"-experiment", "fig4", "-parallel", "-2"}, "-parallel"},
 		{"malformed refs", []string{"-experiment", "fig4", "-refs", "many"}, "invalid value"},
 		{"workload without export", []string{"-workload", "tpcc", "-experiment", "fig4"}, "-workload"},
-		{"no-cache without cache-dir", []string{"-no-cache", "-experiment", "fig4"}, "-no-cache"},
 		{"export without workload", []string{"-trace-export", "x.trace"}, "-workload"},
 		{"campaign-out without campaign", []string{"-campaign-out", "x.ndjson", "-experiment", "fig4"}, "-campaign-out"},
 		{"campaign-csv without campaign", []string{"-campaign-csv", "x.csv", "-experiment", "fig4"}, "-campaign-out"},

@@ -8,10 +8,12 @@ import (
 )
 
 // The persistent run cache extends the in-process memo across processes:
-// every simulation result is written to a ResultStore — by
-// default a DirStore of content-addressed files under the cache directory —
-// and later invocations (a second CLI run of the same figure, a CI job, a
-// notebook, another fleet worker) load it instead of re-simulating.
+// every simulation result is written to a ResultStore — a DirStore of
+// content-addressed files, under dspatchsim's -cache-dir or dspatchd's one
+// store directory — and later invocations (a second CLI run of the same
+// figure, a CI job, a notebook, another fleet worker) load it instead of
+// re-simulating. A daemon hands the same store instance to its campaigns,
+// which skip writing a run the engine already wrote there (see Stored).
 //
 // Correctness rules:
 //
@@ -68,19 +70,21 @@ func (k runKey) keyString() string {
 // cache writes are disabled). Tests swap it to observe the log.
 var logWarnf func(format string, args ...any) = log.Printf
 
-// cachePut persists res, degrading gracefully on a failing backend: the
-// first write error (ENOSPC, EACCES, a vanished directory) is logged once,
-// further writes are disabled for this Runner, and simulation continues —
-// the read path is unaffected.
-func (r *Runner) cachePut(st ResultStore, key string, res sim.Result) {
+// cachePut persists res and reports whether it is now in st, degrading
+// gracefully on a failing backend: the first write error (ENOSPC, EACCES, a
+// vanished directory) is logged once, further writes are disabled for this
+// Runner, and simulation continues — the read path is unaffected.
+func (r *Runner) cachePut(st ResultStore, key string, res sim.Result) bool {
 	if st == nil || r.cacheWriteOff.Load() {
-		return
+		return false
 	}
 	if err := st.Put(key, res); err != nil {
 		if r.cacheWriteOff.CompareAndSwap(false, true) {
 			logWarnf("experiments: run-cache write failed (%v); disabling further cache writes, simulation continues", err)
 		}
+		return false
 	}
+	return true
 }
 
 // SetCacheDir enables the persistent run cache for the process-wide engine,
@@ -90,12 +94,19 @@ func SetCacheDir(dir string) error {
 	return engine.SetCacheDir(dir)
 }
 
-// SetResultStore points the process-wide engine's persistent cache at an
-// arbitrary ResultStore backend (nil disables it). Front ends use
-// SetCacheDir; fleet deployments that share results through something other
-// than a directory plug in here.
+// SetResultStore points the process-wide engine's persistent cache at st
+// (nil disables it). dspatchd installs its one store here, so its campaigns
+// and the engine share one instance; tests plug in counting wrappers.
 func SetResultStore(s ResultStore) {
 	engine.SetResultStore(s)
+}
+
+// EngineStore returns the process-wide engine's persistent store (nil when
+// the run cache is off).
+func EngineStore() ResultStore {
+	engine.mu.Lock()
+	defer engine.mu.Unlock()
+	return engine.store
 }
 
 // CacheDir reports the process-wide engine's persistent cache directory

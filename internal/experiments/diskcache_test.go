@@ -386,35 +386,28 @@ func TestKeyStringPinned(t *testing.T) {
 }
 
 // TestPollutionRunRoundTripsStores proves a pollution-tracking run is an
-// ordinary stored run: a second runner on the same DirStore or PackStore
-// serves it without simulating, Pollution fractions bit-identical.
+// ordinary stored run: a second runner on the same DirStore serves it
+// without simulating, Pollution fractions bit-identical.
 func TestPollutionRunRoundTripsStores(t *testing.T) {
 	job := tinyJob(t, "mcf", 10_000, sim.PFStreamer)
 	job.Opt.TrackPollution = true
-	dir, err := NewDirStore(t.TempDir())
+	st, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := OpenPackStore(filepath.Join(t.TempDir(), "results.pack"))
-	if err != nil {
-		t.Fatal(err)
+	r1 := NewRunner(1)
+	r1.SetResultStore(st)
+	fresh := r1.RunAll([]Job{job}, 1)[0]
+	if fresh.Pollution == ([3]float64{}) {
+		t.Fatal("pollution-tracking run reported no pollution fractions")
 	}
-	defer pack.Close()
-	for name, st := range map[string]ResultStore{"dir": dir, "pack": pack} {
-		r1 := NewRunner(1)
-		r1.SetResultStore(st)
-		fresh := r1.RunAll([]Job{job}, 1)[0]
-		if fresh.Pollution == ([3]float64{}) {
-			t.Fatalf("%s: pollution-tracking run reported no pollution fractions", name)
-		}
-		r2 := NewRunner(1)
-		r2.SetResultStore(st)
-		got := r2.RunAll([]Job{job}, 1)[0]
-		if c := r2.Counters(); c.Sims != 0 || c.DiskHits != 1 {
-			t.Errorf("%s: second runner counters %+v, want one store hit and no sims", name, c)
-		}
-		if !reflect.DeepEqual(got, fresh) {
-			t.Errorf("%s: stored pollution run differs:\n%+v\n%+v", name, got, fresh)
-		}
+	r2 := NewRunner(1)
+	r2.SetResultStore(st)
+	got := r2.RunAll([]Job{job}, 1)[0]
+	if c := r2.Counters(); c.Sims != 0 || c.DiskHits != 1 {
+		t.Errorf("second runner counters %+v, want one store hit and no sims", c)
+	}
+	if !reflect.DeepEqual(got, fresh) {
+		t.Errorf("stored pollution run differs:\n%+v\n%+v", got, fresh)
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"dspatch/internal/sim"
 )
 
-// A run-store entry is one stored run: the bytes a DirStore file holds and
-// a PackStore frame carries. All words are little-endian:
+// A run-store entry is one stored run: the bytes a DirStore file holds. All
+// words are little-endian:
 //
 //	magic   "DSRE"
 //	u32     total entry length, trailer included
@@ -76,20 +76,6 @@ func encodeEntry(key string, res sim.Result) []byte {
 	b = le.AppendUint32(b, uint32(len(pref)))
 	b = append(b, pref...)
 	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
-
-// entryKey returns the run key an entry's header names, checking only the
-// framing (magic, length, key bounds): PackStore's open scan indexes frames
-// by it, and Get's decodeEntry validates the rest.
-func entryKey(data []byte) (string, bool) {
-	if !entryFramed(data) {
-		return "", false
-	}
-	k := int(binary.LittleEndian.Uint32(data[12:16]))
-	if k > len(data)-entryHeaderLen-4 {
-		return "", false
-	}
-	return string(data[entryHeaderLen : entryHeaderLen+k]), true
 }
 
 // entryFramed reports whether data starts with the entry magic and is

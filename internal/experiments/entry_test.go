@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -124,6 +123,25 @@ func fillDistinct(t testing.TB, v reflect.Value, path string, next *uint64) {
 	}
 }
 
+// smallResult returns a one-lane Result told apart by its cycle count.
+func smallResult(cycles uint64) sim.Result {
+	return sim.Result{Cycles: cycles, IPC: []float64{1.5}, Coverage: 0.25}
+}
+
+// entryKey returns the run key an entry's header names, checking only the
+// framing, so the fuzz target can ask decodeEntry for the key an arbitrary
+// input claims.
+func entryKey(data []byte) (string, bool) {
+	if !entryFramed(data) {
+		return "", false
+	}
+	k := int(binary.LittleEndian.Uint32(data[12:16]))
+	if k > len(data)-entryHeaderLen-4 {
+		return "", false
+	}
+	return string(data[entryHeaderLen : entryHeaderLen+k]), true
+}
+
 // everyField returns a Result whose every field holds a distinct non-zero
 // value.
 func everyField(t testing.TB) sim.Result {
@@ -133,47 +151,28 @@ func everyField(t testing.TB) sim.Result {
 	return res
 }
 
-// roundTripStores puts res under key into a DirStore and a PackStore (then
-// reopens the pack) and returns what each Get served, by backend name.
-func roundTripStores(t *testing.T, key string, res sim.Result) map[string]sim.Result {
+// roundTripStore puts res under key into a DirStore and returns what Get
+// served.
+func roundTripStore(t *testing.T, key string, res sim.Result) sim.Result {
 	t.Helper()
-	got := map[string]sim.Result{}
 	ds, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "results.pack")
-	ps, err := OpenPackStore(path)
-	if err != nil {
-		t.Fatal(err)
+	if err := ds.Put(key, res); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
-	for name, st := range map[string]ResultStore{"dir": ds, "pack": ps} {
-		if err := st.Put(key, res); err != nil {
-			t.Fatalf("%s: Put: %v", name, err)
-		}
-		r, ok := st.Get(key)
-		if !ok {
-			t.Fatalf("%s: Get missed a fresh Put", name)
-		}
-		got[name] = r
-	}
-	ps.Close()
-	if ps, err = OpenPackStore(path); err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	r, ok := ps.Get(key)
+	r, ok := ds.Get(key)
 	if !ok {
-		t.Fatal("reopened pack: Get missed")
+		t.Fatal("Get missed a fresh Put")
 	}
-	got["pack-reopened"] = r
-	return got
+	return r
 }
 
 // TestEntryCodecCoversEveryField sets every field of sim.Result — through
 // PortStats, CoverageStats and the Prefetchers maps — to a distinct value
-// and requires a bit-exact round trip through the codec and both backends,
-// so a field added to Result without a codec change fails here.
+// and requires a bit-exact round trip through the codec and a DirStore, so
+// a field added to Result without a codec change fails here.
 func TestEntryCodecCoversEveryField(t *testing.T) {
 	want := everyField(t)
 	const key = "every-field"
@@ -181,15 +180,13 @@ func TestEntryCodecCoversEveryField(t *testing.T) {
 	if !ok || !sameBits(got, want) {
 		t.Fatalf("codec round trip lost fields (ok=%t):\n got %+v\nwant %+v", ok, got, want)
 	}
-	for name, r := range roundTripStores(t, key, want) {
-		if !sameBits(r, want) {
-			t.Errorf("%s: round trip lost fields:\n got %+v\nwant %+v", name, r, want)
-		}
+	if r := roundTripStore(t, key, want); !sameBits(r, want) {
+		t.Errorf("store round trip lost fields:\n got %+v\nwant %+v", r, want)
 	}
 }
 
 // TestStoresKeepNonFiniteFloats: NaN, ±Inf and -0 are ordinary results.
-// Both backends store and serve them bit for bit, and a runner writing one
+// The store keeps and serves them bit for bit, and a runner writing one
 // keeps its cache writes on.
 func TestStoresKeepNonFiniteFloats(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_0000_0000_0001) // a NaN with payload
@@ -204,10 +201,8 @@ func TestStoresKeepNonFiniteFloats(t *testing.T) {
 		PeakBandwidth:    nan,
 		Pollution:        [3]float64{negZero, math.NaN(), math.Inf(-1)},
 	}
-	for name, r := range roundTripStores(t, "non-finite", want) {
-		if !sameBits(r, want) {
-			t.Errorf("%s: served %v, want %v bit for bit", name, r, want)
-		}
+	if r := roundTripStore(t, "non-finite", want); !sameBits(r, want) {
+		t.Errorf("store served %v, want %v bit for bit", r, want)
 	}
 
 	ds, err := NewDirStore(t.TempDir())
@@ -275,8 +270,8 @@ func TestDecodeEntryRejects(t *testing.T) {
 	}
 }
 
-// TestPreBinaryEntriesMiss: stores written before the binary encoding open,
-// serve none of their JSON entries, and accept new ones.
+// TestPreBinaryEntriesMiss: a store written before the binary encoding
+// serves none of its JSON entries, and accepts new ones.
 func TestPreBinaryEntriesMiss(t *testing.T) {
 	const key = "old"
 	old := []byte(`{"result_version":4,"key":"old","result":{"IPC":[1.5],"Cycles":4}}`)
@@ -294,28 +289,12 @@ func TestPreBinaryEntriesMiss(t *testing.T) {
 		t.Error("dir store served a JSON entry")
 	}
 
-	path := filepath.Join(t.TempDir(), "results.pack")
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(old)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(old))
-	if err := os.WriteFile(path, append(append([]byte(packMagic), frame...), old...), 0o644); err != nil {
-		t.Fatal(err)
+	want := smallResult(5)
+	if err := ds.Put(key, want); err != nil {
+		t.Fatalf("Put over an old entry: %v", err)
 	}
-	ps, err := OpenPackStore(path)
-	if err != nil {
-		t.Fatalf("open a pack of JSON frames: %v", err)
-	}
-	defer ps.Close()
-	if _, ok := ps.Get(key); ok || ps.Len() != 0 {
-		t.Errorf("pack served a JSON frame (Len %d)", ps.Len())
-	}
-	want := packResult(5)
-	for name, st := range map[string]ResultStore{"dir": ds, "pack": ps} {
-		if err := st.Put(key, want); err != nil {
-			t.Fatalf("%s: Put over an old entry: %v", name, err)
-		}
-		if got, ok := st.Get(key); !ok || !sameBits(got, want) {
-			t.Errorf("%s: re-simulated entry not served: %+v ok=%t", name, got, ok)
-		}
+	if got, ok := ds.Get(key); !ok || !sameBits(got, want) {
+		t.Errorf("re-simulated entry not served: %+v ok=%t", got, ok)
 	}
 }
 
@@ -325,7 +304,7 @@ func TestPreBinaryEntriesMiss(t *testing.T) {
 func FuzzDecodeEntry(f *testing.F) {
 	full := everyField(f)
 	for _, e := range [][]byte{
-		encodeEntry("names=\"mcf\" refs=5000", packResult(7)),
+		encodeEntry("names=\"mcf\" refs=5000", smallResult(7)),
 		encodeEntry("every-field", full),
 		encodeEntry("", sim.Result{}),
 	} {

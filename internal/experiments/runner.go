@@ -99,10 +99,14 @@ func memoizable(j Job) runKey {
 // computation records err; observers drop the entry from the memo so a later
 // request recomputes instead of inheriting the cancellation.
 type memoEntry struct {
-	done     chan struct{} // closed once res/err/panicked are final
+	done     chan struct{} // closed once res/err/panicked/in are final
 	res      sim.Result
 	err      error
 	panicked any // recovered panic value; re-raised for every observer
+	// in is the store instance res was read from or written to, nil when
+	// it reached none: a caller persisting res to the same store skips the
+	// second write (see Stored).
+	in ResultStore
 }
 
 // Counters is a monotonic snapshot of the engine's work ledger. Long-running
@@ -405,7 +409,7 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, owned []m
 			mb.skey = mb.key.keyString()
 			if res, ok := st.Get(mb.skey); ok {
 				r.diskHits.Add(1)
-				mb.e.res = res
+				mb.e.res, mb.e.in = res, st
 				close(mb.e.done)
 				results[mb.idx] = res
 				continue
@@ -452,12 +456,40 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, owned []m
 	for k, mb := range cold {
 		r.sims.Add(1)
 		r.refsSim.Add(uint64(opts[k].Refs) * uint64(len(ws)))
-		r.cachePut(st, mb.skey, batch[k])
+		if r.cachePut(st, mb.skey, batch[k]) {
+			mb.e.in = st
+		}
 		mb.e.res = batch[k]
 		close(mb.e.done)
 		results[mb.idx] = batch[k]
 	}
 	return nil
+}
+
+// Stored reports whether the process-wide engine's memo holds id's result
+// as read from or written to st, the same store instance: the result is
+// already in st, and persisting it there again would only repeat the write.
+// A run that is in flight, failed, or in another store reports false.
+func Stored(id RunID, st ResultStore) bool {
+	return engine.stored(id.k, st)
+}
+
+func (r *Runner) stored(key runKey, st ResultStore) bool {
+	if st == nil {
+		return false
+	}
+	r.mu.Lock()
+	e := r.memo[key]
+	r.mu.Unlock()
+	if e == nil {
+		return false
+	}
+	select {
+	case <-e.done:
+		return e.err == nil && e.in == st
+	default:
+		return false
+	}
 }
 
 // RunJobs schedules jobs on the process-shared engine — the programmatic

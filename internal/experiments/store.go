@@ -47,11 +47,11 @@ func JobID(j Job) RunID { return RunID{memoizable(j)} }
 // String is the canonical run key JobKey returns.
 func (id RunID) String() string { return id.k.keyString() }
 
-// DirStore is the ResultStore the engine has always used, made pluggable: a
-// directory of content-addressed entry files (see encodeEntry) whose
-// filenames are the SHA-256 of the run key. It is byte-compatible with
-// -cache-dir, so a fleet's shared -store-dir and a worker's local cache dir
-// can be the same directory (or rsync'd copies of each other).
+// DirStore is the one ResultStore backend: a directory of content-addressed
+// entry files (see encodeEntry) whose filenames are the SHA-256 of the run
+// key. Writes are atomic renames, so several processes can share one
+// directory: a fleet's shared -store-dir and a worker's -cache-dir can be
+// the same directory (or rsync'd copies of each other).
 type DirStore struct {
 	dir string
 }
@@ -83,9 +83,9 @@ func (s *DirStore) PathOf(key string) string {
 	return filepath.Join(s.dir, hex.EncodeToString(sum[:16])+entryExt)
 }
 
-// entryBufs pools the read buffers of Get and PackStore.Get: an entry is
-// decoded in place and every Result field is copied out, so the buffer is
-// free again once decodeEntry returns.
+// entryBufs pools Get's read buffers: an entry is decoded in place and
+// every Result field is copied out, so the buffer is free again once
+// decodeEntry returns.
 var entryBufs = sync.Pool{New: func() any {
 	b := make([]byte, 4<<10)
 	return &b

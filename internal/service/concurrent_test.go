@@ -198,6 +198,70 @@ func TestCacheEndpointCountsEntries(t *testing.T) {
 	}
 }
 
+// TestStoreDirOnlyDaemonCachesRuns: a daemon given only a store dir keeps
+// its /v1/runs results in that store, which is also its run cache. A
+// restarted daemon on the same directory, on an empty memo, serves a
+// resubmission without simulating (dspatchd_engine_sims_total flat), and
+// /v1/cache and /healthz report the cache as on.
+func TestStoreDirOnlyDaemonCachesRuns(t *testing.T) {
+	experiments.SetResultStore(nil)
+	experiments.ResetMemo()
+	dir := t.TempDir()
+	ctx := ctxT(t)
+	spec := RunSpec{Workloads: []string{"tpcc"}, Refs: 1_170, L2: "spp"}
+	run := func(c *Client) JobView {
+		j, err := c.SubmitRun(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err = c.Wait(ctx, j.ID); err != nil || j.Status != StatusDone {
+			t.Fatalf("run: %v status %q (%s)", err, j.Status, j.Error)
+		}
+		return j
+	}
+	sims := func(c *Client) string {
+		text, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, text, "dspatchd_engine_sims_total")
+	}
+
+	s1, c1 := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 1, StoreDir: dir})
+	first := run(c1)
+	s1.Drain(ctx)
+
+	experiments.ResetMemo() // a restart: only the store survives
+	_, c2 := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 1, StoreDir: dir})
+	before := sims(c2)
+	second := run(c2)
+	if after := sims(c2); after != before {
+		t.Errorf("resubmission after a restart moved dspatchd_engine_sims_total %s -> %s", before, after)
+	}
+	if string(first.Result) != string(second.Result) {
+		t.Errorf("stored run differs:\n%s\n%s", first.Result, second.Result)
+	}
+
+	var info struct {
+		Enabled bool   `json:"enabled"`
+		Dir     string `json:"dir"`
+		Entries int    `json:"entries"`
+	}
+	if err := c2.do(ctx, "GET", "/v1/cache", nil, &info); err != nil {
+		t.Fatal(err)
+	}
+	if !info.Enabled || info.Dir != dir || info.Entries < 1 {
+		t.Errorf("/v1/cache = %+v, want enabled at %s with at least one entry", info, dir)
+	}
+	h, err := c2.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.CacheEnabled {
+		t.Error("/healthz reports cache_enabled false for a store-dir daemon")
+	}
+}
+
 // TestIdleWorkerTakesQueuedCampaign: the job queue is work-conserving. With
 // two workers busy on one long campaign, a second campaign starts on the
 // idle worker at once instead of waiting for the first to finish, and two

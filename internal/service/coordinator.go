@@ -32,7 +32,7 @@ import (
 //     reason into the summary. Nothing is lost silently, and nothing wedges.
 //  3. The dispatch unit is the deduplicated simulation run, not the point:
 //     a baseline shared by thirty points is dispatched once, and the shared
-//     result store (FleetConfig.StoreDir) extends that dedup across
+//     result store (Config.StoreDir) extends that dedup across
 //     campaigns and coordinator restarts.
 
 // dispatch failure classes — the reasons recorded against retries/drops.

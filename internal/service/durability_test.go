@@ -59,7 +59,7 @@ func TestFleetCoordinatorCrashResume(t *testing.T) {
 	ctx := ctxT(t)
 
 	// Incarnation one: crash after the second emitted point.
-	cfg1, crashed := crashingConfig(Config{JobWorkers: 1, Fleet: fleetTestConfig(urls, storeDir)}, 2)
+	cfg1, crashed := crashingConfig(Config{JobWorkers: 1, StoreDir: storeDir, Fleet: fleetTestConfig(urls)}, 2)
 	_, c1 := newTestServer(t, cfg1)
 	j, err := c1.SubmitCampaign(ctx, spec)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestFleetCoordinatorCrashResume(t *testing.T) {
 
 	// Incarnation two: same store dir, no crash. Startup must resurrect the
 	// campaign under its original ID.
-	s2, c2 := newTestServer(t, Config{JobWorkers: 1, Fleet: fleetTestConfig(urls, storeDir)})
+	s2, c2 := newTestServer(t, Config{JobWorkers: 1, StoreDir: storeDir, Fleet: fleetTestConfig(urls)})
 	if got := s2.campaignsResumed.Load(); got != 1 {
 		t.Fatalf("campaigns resumed = %d, want 1", got)
 	}
@@ -213,34 +213,12 @@ func TestLocalCrashResume(t *testing.T) {
 	}
 }
 
-// TestPackStoreBackendServesCampaigns wires the pack backend through the
-// daemon: a crash-resume round trip entirely on -store pack.
-func TestPackStoreBackendServesCampaigns(t *testing.T) {
-	spec := tinyCampaign(727)
-	storeDir := t.TempDir()
-	ctx := ctxT(t)
-
-	cfg1, crashed := crashingConfig(Config{JobWorkers: 1, SimWorkers: 2, StoreDir: storeDir, StoreBackend: "pack"}, 2)
-	_, c1 := newTestServer(t, cfg1)
-	j, err := c1.SubmitCampaign(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-crashed
-	if jv, err := c1.Wait(ctx, j.ID); err != nil || jv.Status != StatusFailed {
-		t.Fatalf("crashed incarnation: %v status %q", err, jv.Status)
-	}
-	if _, err := os.Stat(filepath.Join(storeDir, "results.pack")); err != nil {
-		t.Fatalf("pack file missing: %v", err)
-	}
-
-	s2, c2 := newTestServer(t, Config{JobWorkers: 1, SimWorkers: 2, StoreDir: storeDir, StoreBackend: "pack"})
-	if got := s2.campaignsResumed.Load(); got != 1 {
-		t.Fatalf("campaigns resumed = %d, want 1", got)
-	}
-	jv, err := c2.Wait(ctx, j.ID)
-	if err != nil || jv.Status != StatusDone {
-		t.Fatalf("resumed campaign on pack store: %v status %q (error %q)", err, jv.Status, jv.Error)
+// TestRemovedStoreBackendRejected: "dir" is the only store backend, and a
+// config naming another one fails to start, saying why.
+func TestRemovedStoreBackendRejected(t *testing.T) {
+	_, err := New(Config{JobWorkers: 1, StoreDir: t.TempDir(), StoreBackend: "pack"})
+	if err == nil || !strings.Contains(err.Error(), "pack backend was removed") {
+		t.Fatalf("New with the pack backend: %v", err)
 	}
 }
 
@@ -458,7 +436,7 @@ func TestWorkersFileFleetCampaign(t *testing.T) {
 	if err := os.WriteFile(roster, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fc := fleetTestConfig(nil, "")
+	fc := fleetTestConfig(nil)
 	fc.WorkersFile = roster
 	fc.WorkersReload = 50 * time.Millisecond
 	_, c := newTestServer(t, Config{JobWorkers: 1, Fleet: fc})

@@ -12,7 +12,10 @@ import (
 // FleetConfig turns a Server into a campaign coordinator: instead of
 // simulating campaign points on the local engine, it shards them across
 // worker daemons, retries failures elsewhere, and merges the results into
-// the same byte-identical NDJSON stream a local run produces.
+// the same byte-identical NDJSON stream a local run produces. The fleet's
+// shared result store is the daemon's own (Config.StoreDir): the
+// coordinator consults it before dispatching and records every worker
+// result into it, so a re-run after a crash redoes only the missing points.
 type FleetConfig struct {
 	// Workers are the base URLs of the worker daemons, e.g.
 	// ["http://10.0.0.1:8491", "http://10.0.0.2:8491"]. Static members are
@@ -28,11 +31,6 @@ type FleetConfig struct {
 	WorkersFile string
 	// WorkersReload is the roster reload period (default 5s).
 	WorkersReload time.Duration
-	// StoreDir, when non-empty, is a shared result store (the same
-	// content-addressed layout as -cache-dir): the coordinator consults it
-	// before dispatching and records every worker result into it, so a
-	// re-run after a crash redoes only the missing points.
-	StoreDir string
 	// LeaseTTL bounds one dispatch: a worker holding a point longer is
 	// presumed hung, the lease expires, and the point is re-dispatched
 	// (default 60s).

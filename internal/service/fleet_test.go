@@ -51,10 +51,9 @@ func newWorkerFleet(t *testing.T, n int, sched *chaos.Schedule) []string {
 
 // fleetTestConfig is a FleetConfig scaled for test wall-clock: short
 // leases, fast probes, quick ejection.
-func fleetTestConfig(urls []string, storeDir string) *FleetConfig {
+func fleetTestConfig(urls []string) *FleetConfig {
 	return &FleetConfig{
 		Workers:       urls,
-		StoreDir:      storeDir,
 		LeaseTTL:      700 * time.Millisecond,
 		MaxAttempts:   4,
 		MaxInflight:   2,
@@ -160,7 +159,7 @@ func TestFleetCampaignChaosByteIdentical(t *testing.T) {
 		{Worker: "w2", Kind: chaos.KindTimeout, At: 1},
 	}}
 	urls := newWorkerFleet(t, 3, sched)
-	s, c := newTestServer(t, Config{JobWorkers: 1, Fleet: fleetTestConfig(urls, storeDir)})
+	s, c := newTestServer(t, Config{JobWorkers: 1, StoreDir: storeDir, Fleet: fleetTestConfig(urls)})
 	ctx := ctxT(t)
 
 	j, err := c.SubmitCampaign(ctx, spec)
@@ -251,7 +250,7 @@ func TestFleetDropsPointsWithReasonsInsteadOfWedging(t *testing.T) {
 		{Worker: "w0", Kind: chaos.KindShed, At: 1, Count: 100000},
 	}}
 	urls := newWorkerFleet(t, 1, sched)
-	fc := fleetTestConfig(urls, "")
+	fc := fleetTestConfig(urls)
 	fc.MaxAttempts = 2
 	_, c := newTestServer(t, Config{JobWorkers: 1, Fleet: fc})
 	ctx := ctxT(t)
@@ -306,7 +305,7 @@ func TestFleetDropsPointsWithReasonsInsteadOfWedging(t *testing.T) {
 func TestFleetStoreResumeSkipsDispatch(t *testing.T) {
 	storeDir := t.TempDir()
 	urls := newWorkerFleet(t, 2, nil)
-	_, c := newTestServer(t, Config{JobWorkers: 1, Fleet: fleetTestConfig(urls, storeDir)})
+	_, c := newTestServer(t, Config{JobWorkers: 1, StoreDir: storeDir, Fleet: fleetTestConfig(urls)})
 	ctx := ctxT(t)
 	spec := tinyCampaign(683)
 

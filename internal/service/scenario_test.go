@@ -253,7 +253,7 @@ func TestFleetForwardsScenarioSpecs(t *testing.T) {
 	want := localReference(t, camp)
 
 	urls := newWorkerFleet(t, 2, nil)
-	_, c := newTestServer(t, Config{JobWorkers: 1, Fleet: fleetTestConfig(urls, t.TempDir())})
+	_, c := newTestServer(t, Config{JobWorkers: 1, StoreDir: t.TempDir(), Fleet: fleetTestConfig(urls)})
 	ctx := ctxT(t)
 	j, err := c.SubmitCampaign(ctx, camp)
 	if err != nil {

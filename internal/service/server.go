@@ -2,7 +2,8 @@
 // simulation-as-a-service daemon: a job-oriented HTTP API over the same
 // process-wide engine the dspatch library and CLI use, so every run a client
 // submits shares the in-process memo, the materialized replay-trace store
-// and the persistent -cache-dir with every other front end. Repeated
+// and the daemon's one persistent result store (a DirStore at -store-dir,
+// else at -cache-dir) with every other front end. Repeated
 // requests are answered from cache without re-simulating, and results are
 // deterministic: a job submitted over HTTP returns exactly what the
 // equivalent library call returns.
@@ -20,7 +21,7 @@
 //	GET    /v1/experiments       the experiment registry
 //	GET    /v1/workloads         the workload roster (name, category, source: builtin/spec/imported)
 //	GET    /v1/prefetchers       selectable L2 prefetchers
-//	GET    /v1/cache             persistent run-cache location and size
+//	GET    /v1/cache             the result store's directory, entry count and size
 //	GET    /healthz              liveness + job/queue gauges
 //	GET    /livez                process liveness (always 200 while serving)
 //	GET    /readyz               readiness: 503 the moment draining begins
@@ -87,7 +88,9 @@ type Config struct {
 	// MaxJobs bounds retained job records; the oldest terminal jobs are
 	// evicted past it (default 4096).
 	MaxJobs int
-	// CacheDir, when non-empty, enables the engine's persistent run cache.
+	// CacheDir, when non-empty and StoreDir is empty, is the directory of
+	// the daemon's one result store: the engine's persistent run cache,
+	// which campaigns also read and fill, without journals.
 	CacheDir string
 	// DrainTimeout bounds how long Drain waits for running jobs before
 	// canceling them (default 30s).
@@ -106,18 +109,17 @@ type Config struct {
 	// (journaled but unsealed) campaign is never evicted out from under a
 	// follower, no matter how many campaigns finish around it.
 	MaxCampaignStreams int
-	// StoreDir, when non-empty, enables the durable layer: a ResultStore at
-	// this directory plus a write-ahead campaign journal per campaign under
-	// StoreDir/journals. Unsealed journals found at startup are resumed —
+	// StoreDir, when non-empty, enables the durable layer: the daemon's one
+	// result store at this directory plus a write-ahead campaign journal per
+	// campaign under StoreDir/journals. The store is also the engine's run
+	// cache (StoreDir wins over CacheDir), and on a coordinator it is the
+	// fleet's shared store. Unsealed journals found at startup are resumed —
 	// the campaign is re-created under its original job ID, journaled
 	// completions replay from the store with zero dispatches, and only the
-	// unfinished tail re-runs. When Fleet is set and Fleet.StoreDir is the
-	// only one given, it is adopted as StoreDir.
+	// unfinished tail re-runs.
 	StoreDir string
-	// StoreBackend selects the ResultStore implementation under StoreDir:
-	// "dir" (default; one content-addressed entry file per result, shareable
-	// between processes) or "pack" (a single append-only pack file owned by
-	// this daemon).
+	// StoreBackend names the result store's backend. "dir" (a DirStore, the
+	// default) is the only one; any other value is an error.
 	StoreBackend string
 	// QuotaRate, when > 0, enables per-client token-bucket admission
 	// control: each client (keyed by the X-Dspatch-Client header; requests
@@ -419,7 +421,8 @@ type Server struct {
 	fleet *FleetConfig // normalized Config.Fleet; nil on non-coordinators
 	mux   *http.ServeMux
 
-	// Durable layer (nil/empty without Config.StoreDir).
+	// The daemon's one result store (nil without StoreDir or CacheDir) and
+	// the journal directory (empty without StoreDir).
 	store      experiments.ResultStore
 	journalDir string
 
@@ -481,15 +484,11 @@ func (s *Server) recordPrefStats(stats []sim.PrefetcherStats) {
 }
 
 // New builds a Server and starts its worker pool (no listener yet: mount
-// Handler yourself or call ListenAndServe). When cfg.CacheDir is set the
-// process-wide engine's persistent cache is pointed at it.
+// Handler yourself or call ListenAndServe). When cfg.StoreDir or
+// cfg.CacheDir is set, the daemon's one result store is opened there and
+// installed as the process-wide engine's persistent cache.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.CacheDir != "" {
-		if err := experiments.SetCacheDir(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	var fleet *FleetConfig
 	if cfg.Fleet != nil {
 		if len(cfg.Fleet.Workers) == 0 && cfg.Fleet.WorkersFile == "" {
@@ -497,14 +496,13 @@ func New(cfg Config) (*Server, error) {
 		}
 		fc := cfg.Fleet.withDefaults()
 		fleet = &fc
-		if cfg.StoreDir == "" {
-			// The fleet's shared store doubles as the durable layer's root.
-			cfg.StoreDir = fc.StoreDir
-		}
 	}
 	store, journalDir, err := openStore(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if store != nil {
+		experiments.SetResultStore(store)
 	}
 	var quotas *quotaTable
 	if cfg.QuotaRate > 0 {
@@ -550,40 +548,35 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// openStore builds the durable layer from Config: a ResultStore at StoreDir
-// in the selected backend, plus the campaign-journal directory beneath it.
+// openStore opens the daemon's one result store: a DirStore at StoreDir,
+// with the campaign-journal directory beneath it, or else at CacheDir,
+// without journals. The engine and every campaign share the instance, so a
+// locally simulated run is written once.
 func openStore(cfg Config) (experiments.ResultStore, string, error) {
-	if cfg.StoreDir == "" {
-		if cfg.StoreBackend != "" && cfg.StoreBackend != "dir" {
-			return nil, "", fmt.Errorf("service: store backend %q needs a store dir", cfg.StoreBackend)
-		}
+	if cfg.StoreBackend != "" && cfg.StoreBackend != "dir" {
+		return nil, "", fmt.Errorf("service: store backend %q is not supported: the pack backend was removed, and dir is the only one", cfg.StoreBackend)
+	}
+	dir := cfg.StoreDir
+	if dir == "" {
+		dir = cfg.CacheDir
+	} else if cfg.CacheDir != "" && cfg.CacheDir != dir {
+		cfg.Logf("run cache: using the store dir %s; cache dir %s is not used", dir, cfg.CacheDir)
+	}
+	if dir == "" {
 		return nil, "", nil
 	}
-	var store experiments.ResultStore
-	switch cfg.StoreBackend {
-	case "", "dir":
-		ds, err := experiments.NewDirStore(cfg.StoreDir)
-		if err != nil {
-			return nil, "", fmt.Errorf("service: %w", err)
-		}
-		store = ds
-	case "pack":
-		if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
-			return nil, "", fmt.Errorf("service: store dir: %w", err)
-		}
-		ps, err := experiments.OpenPackStore(filepath.Join(cfg.StoreDir, "results.pack"))
-		if err != nil {
-			return nil, "", fmt.Errorf("service: %w", err)
-		}
-		store = ps
-	default:
-		return nil, "", fmt.Errorf("service: unknown store backend %q (want dir or pack)", cfg.StoreBackend)
+	ds, err := experiments.NewDirStore(dir)
+	if err != nil {
+		return nil, "", fmt.Errorf("service: %w", err)
+	}
+	if cfg.StoreDir == "" {
+		return ds, "", nil
 	}
 	journalDir := filepath.Join(cfg.StoreDir, "journals")
 	if err := os.MkdirAll(journalDir, 0o755); err != nil {
 		return nil, "", fmt.Errorf("service: journal dir: %w", err)
 	}
-	return store, journalDir, nil
+	return ds, journalDir, nil
 }
 
 // resumeJournals scans the journal directory at startup and resurrects

@@ -23,6 +23,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	if cfg.StoreDir != "" || cfg.CacheDir != "" {
+		// The daemon installed its store as the process-wide engine's run
+		// cache; later tests must not write into this test's temp dir.
+		t.Cleanup(func() { experiments.SetResultStore(nil) })
+	}
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

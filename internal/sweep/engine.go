@@ -386,7 +386,9 @@ type Engine struct {
 	Journal *Journal
 	// Store, when non-nil, is the ResultStore runs are looked up in before
 	// they execute, persisted to once they complete, and rehydrated from on
-	// resume.
+	// resume. When it is also the experiment engine's store (see
+	// experiments.SetResultStore), as in dspatchd, a run the engine read
+	// from or wrote to it is not written again.
 	Store experiments.ResultStore
 	// Resume, when non-nil, is a recovered journal's state: journaled
 	// completions replay from Store with zero simulations and only the
@@ -418,11 +420,12 @@ type Executor func(ctx context.Context, rs *Runs) (*FleetSummary, error)
 // caches have never seen. A non-nil error from emit or ctx aborts the
 // campaign.
 func (e *Engine) Run(ctx context.Context, c Campaign, emit func(json.RawMessage) error) (Summary, error) {
-	return e.RunWith(ctx, c, emit, e.runLocal)
+	return e.RunWith(ctx, c, emit, nil)
 }
 
 // RunWith is Run with the pending runs executed by exec instead of the
-// local engine — the fleet coordinator's hook.
+// local engine — the fleet coordinator's hook. A nil exec is the local
+// engine.
 func (e *Engine) RunWith(ctx context.Context, c Campaign, emit func(json.RawMessage) error, exec Executor) (Summary, error) {
 	if (e.Journal != nil || e.Resume != nil) && e.Store == nil {
 		return Summary{}, fmt.Errorf("sweep: journaled campaign needs a result store")
@@ -451,11 +454,19 @@ func (e *Engine) RunWith(ctx context.Context, c Campaign, emit func(json.RawMess
 
 	// Store pre-pass: runs the store already holds complete without
 	// executing. A torn or corrupt entry reads as a miss and the run
-	// executes again — the store is never trusted blindly.
+	// executes again — the store is never trusted blindly. A local campaign
+	// on the experiment engine's own store skips it: the engine looks every
+	// run up in that store itself (a disk hit in its counters), so one
+	// lookup serves.
+	prepass := rs.store != nil
+	if exec == nil {
+		exec = e.runLocal
+		prepass = prepass && rs.store != experiments.EngineStore()
+	}
 	var storeHits uint64
 	pending := rs.pending[:0]
 	for _, r := range rs.pending {
-		if rs.store != nil {
+		if prepass {
 			if res, ok := rs.store.Get(r.runKey()); ok {
 				storeHits++
 				r.durable = true
@@ -622,13 +633,19 @@ func (rs *Runs) Open() int { return rs.open }
 func (rs *Runs) Complete(i int, res sim.Result) error { return rs.complete(rs.pending[i], res) }
 
 // complete persists r's result, then journals and records every waiting
-// point the result finishes. A failing store or journal degrades — the
-// campaign keeps running, it just stops being resumable from that event on.
+// point the result finishes. A run the experiment engine already read from
+// or wrote to this very store instance is durable as it stands, so a daemon
+// whose engine and campaigns share one store writes each run once. A failing
+// store or journal degrades — the campaign keeps running, it just stops
+// being resumable from that event on.
 func (rs *Runs) complete(r *run, res sim.Result) error {
 	if r.res != nil {
 		return nil
 	}
 	r.res = &res
+	if !r.durable && experiments.Stored(r.id, rs.store) {
+		r.durable = true
+	}
 	if !r.durable && rs.store != nil {
 		if err := rs.store.Put(r.runKey(), res); err != nil {
 			rs.e.logf("campaign store degraded, results no longer durable: %v", err)

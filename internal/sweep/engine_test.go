@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"dspatch/internal/experiments"
@@ -228,6 +229,78 @@ func TestCampaignDiskCacheResume(t *testing.T) {
 		if first[i] != second[i] {
 			t.Errorf("disk-cached record %d differs:\n%s\n%s", i, first[i], second[i])
 		}
+	}
+}
+
+// countingStore counts the writes that reach a ResultStore.
+type countingStore struct {
+	experiments.ResultStore
+	puts atomic.Uint64
+}
+
+func (s *countingStore) Put(key string, res sim.Result) error {
+	s.puts.Add(1)
+	return s.ResultStore.Put(key, res)
+}
+
+// TestSharedStoreWritesEachRunOnce wires one store the way dspatchd does —
+// the experiment engine's run cache and the campaign's Store are the same
+// instance — and runs a journaled campaign on a cold memo. Every simulated
+// run is written exactly once, and each point's done frame is journaled
+// before its record is emitted and cites only runs the store holds.
+func TestSharedStoreWritesEachRunOnce(t *testing.T) {
+	ds, err := experiments.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &countingStore{ResultStore: ds}
+	experiments.SetResultStore(st)
+	experiments.ResetMemo()
+	t.Cleanup(func() {
+		experiments.SetResultStore(nil)
+		experiments.ResetMemo()
+	})
+	c := Campaign{
+		Base: Point{Refs: 743}, // distinctive refs: runs unique to this test
+		Axes: Axes{Workloads: []Mix{{"mcf"}, {"tpcc"}}, L2: []string{"none", "spp"}},
+	}
+	path := filepath.Join(t.TempDir(), "c.journal")
+	jl, err := CreateJournal(path, "j000001", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+
+	c0 := experiments.EngineCounters()
+	_, err = (&Engine{Workers: 2, Journal: jl, Store: st}).Run(context.Background(), c, func(line json.RawMessage) error {
+		var rec PointRecord
+		if json.Unmarshal(line, &rec) != nil || rec.Type != "point" {
+			return nil
+		}
+		js, err := ReadJournalState(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, ok := js.Done[int(rec.Index)]
+		if !ok {
+			t.Errorf("point %d emitted before its done frame was journaled", rec.Index)
+		}
+		for _, key := range []string{ev.Key, ev.Base} {
+			if _, ok := ds.Get(key); key != "" && !ok {
+				t.Errorf("done frame of point %d cites %q, which the store lacks", rec.Index, key)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := experiments.EngineCounters().Sims - c0.Sims
+	if sims == 0 {
+		t.Fatal("cold campaign simulated nothing")
+	}
+	if puts := st.puts.Load(); puts != sims {
+		t.Errorf("store writes = %d for %d simulated runs, want one write per run", puts, sims)
 	}
 }
 

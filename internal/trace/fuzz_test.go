@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"testing"
 
@@ -129,4 +130,92 @@ func TestImportRejectsNonCanonical(t *testing.T) {
 			t.Errorf("%s: import accepted a non-canonical file", name)
 		}
 	}
+}
+
+// readmeSpecs is the scenario-spec example of the README.
+const readmeSpecs = `[
+  {"name": "my-chase", "kind": "pointer",
+   "pointer": {"style": "hash", "nodes": 65536, "nodes_per_page": 8,
+               "occupancy": 0.5, "mean_gap": 12}},
+  {"name": "blend", "kind": "mix",
+   "mix": {"parts": [{"kind": "stream", "stream": {"streams": 4, "stride_lines": 1,
+                      "page_pool": 64, "mean_gap": 8}},
+                     {"kind": "pointer", "pointer": {"style": "list", "nodes": 8192,
+                      "nodes_per_page": 8, "depth": 512, "mean_gap": 14}}],
+           "weights": [3, 1]}},
+  {"name": "captured", "kind": "trace", "trace": {"path": "captured.dsptrc"}}
+]`
+
+// FuzzParseSpecs feeds ParseSpecs arbitrary bytes and registers what it
+// accepts on a fresh shared registry. Nothing may panic; every accepted spec
+// that validates under a name new to the roster registers, bar trace
+// payloads, which registration alone checks; and registering the accepted
+// list again is a no-op. Trace specs naming a path are not registered: the
+// target reads no files.
+func FuzzParseSpecs(f *testing.F) {
+	f.Add([]byte(readmeSpecs))
+	inline, err := json.Marshal(ScenarioSpec{Name: "inline", Kind: KindTrace, Trace: &TraceSpec{Data: tinyTraceFile(f)}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(inline)
+	var renamed []ScenarioSpec
+	for i, s := range builtinSpecs() {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		if i%8 == 0 {
+			s.Name += "-copy"
+			renamed = append(renamed, s)
+		}
+	}
+	b, err := json.Marshal(renamed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Cleanup(ResetShared)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ResetShared()
+		specs, err := ParseSpecs(data)
+		if err != nil {
+			return
+		}
+		var accepted []ScenarioSpec
+		for _, s := range specs {
+			if s.Kind == KindTrace && s.Trace != nil && s.Trace.Path != "" {
+				continue
+			}
+			_, taken := ByName(s.Name)
+			w, err := RegisterSpec(s)
+			if err != nil {
+				if s.Validate() == nil && !taken && s.Kind != KindTrace {
+					t.Fatalf("valid spec %q under a new name did not register: %v", s.Name, err)
+				}
+				continue
+			}
+			if got, ok := ByName(s.Name); !ok || got.Fingerprint != w.Fingerprint {
+				t.Fatalf("registered spec %q is not in the roster", s.Name)
+			}
+			accepted = append(accepted, s)
+		}
+		n := len(Workloads())
+		for _, s := range accepted {
+			before, _ := ByName(s.Name)
+			w, err := RegisterSpec(s)
+			if err != nil {
+				t.Fatalf("re-registering %q: %v", s.Name, err)
+			}
+			if w.Fingerprint != before.Fingerprint || w.Source != before.Source {
+				t.Fatalf("re-registering %q changed it: %s/%s -> %s/%s",
+					s.Name, before.Source, before.Fingerprint, w.Source, w.Fingerprint)
+			}
+		}
+		if got := len(Workloads()); got != n {
+			t.Fatalf("re-registration changed the roster size %d -> %d", n, got)
+		}
+	})
 }
