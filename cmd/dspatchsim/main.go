@@ -66,7 +66,7 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	convertFormat := fs.String("convert-format", "auto", "input layout for -trace-convert: auto, text or champsim")
 	scenario := fs.String("scenario", "", "register scenario spec file(s) before running (JSON object or array; comma-separated paths)")
 	workload := fs.String("workload", "", "workload name for -trace-export or -stats (see internal/trace roster)")
-	seed := fs.Int64("seed", 1, "generator seed for -trace-export or -stats")
+	seed := fs.Int64("seed", 1, "generator seed for -trace-export or -stats, and the -experiment scale's seed")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -125,7 +125,7 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *exp == "" && *traceExport == "" && *traceImport == "" && *campaign == "" && !*stats {
-		fmt.Fprintln(stderr, "usage: dspatchsim -experiment <id|all> [-full] [-refs N] [-parallel N] [-cache-dir DIR]")
+		fmt.Fprintln(stderr, "usage: dspatchsim -experiment <id|all> [-full] [-refs N] [-seed N] [-parallel N] [-cache-dir DIR]")
 		fmt.Fprintln(stderr, "       dspatchsim -campaign SPEC.json [-campaign-out FILE.ndjson] [-campaign-csv FILE.csv]")
 		fmt.Fprintln(stderr, "       dspatchsim -stats -workload NAME [-l2 PF] [-refs N] [-seed N] [-stats-json]")
 		fmt.Fprintln(stderr, "       dspatchsim -trace-export FILE -workload NAME [-refs N] [-seed N]")
@@ -254,6 +254,9 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if *refs > 0 {
 		scale.Refs = *refs
+	}
+	if set["seed"] {
+		scale.Seed = *seed
 	}
 	scale = scale.WithParallel(*parallel)
 

@@ -100,6 +100,21 @@ func TestExperimentRunAtTinyRefs(t *testing.T) {
 	}
 }
 
+// TestExperimentSeedApplies: -seed reaches the experiment scale, so a
+// second seed simulates different streams and prints different numbers.
+func TestExperimentSeedApplies(t *testing.T) {
+	run := func(seed string) string {
+		var out, errb bytes.Buffer
+		if code := appMain([]string{"-experiment", "headline", "-refs", "2000", "-seed", seed}, &out, &errb); code != 0 {
+			t.Fatalf("-seed %s: exit code = %d, stderr: %s", seed, code, errb.String())
+		}
+		return out.String()
+	}
+	if one, two := run("1"), run("2"); one == two {
+		t.Fatalf("-seed 2 printed the same output as -seed 1:\n%s", one)
+	}
+}
+
 func TestParallelMatchesSerialOutput(t *testing.T) {
 	var serial, parallel, errb bytes.Buffer
 	args := []string{"-experiment", "fig4", "-refs", "2000"}

@@ -1,10 +1,15 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"io"
+	"os"
+	"runtime"
 	"testing"
 
 	"dspatch/internal/memaddr"
@@ -216,6 +221,125 @@ func FuzzParseSpecs(f *testing.F) {
 		}
 		if got := len(Workloads()); got != n {
 			t.Fatalf("re-registration changed the roster size %d -> %d", n, got)
+		}
+	})
+}
+
+// convertSeeds are the converter inputs of convert_test.go plus the
+// committed ChampSim fixture, each also gzip-wrapped.
+func convertSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	fixture, err := os.ReadFile("testdata/champsim_tiny.trace")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds := [][]byte{
+		[]byte("# comment line\n0x400100 0x7f0000001000\n0x400104 0x7f0000001040 w\n0x400108 4096 r 7\n0x40010c 0x7f0000001080 r 3 1\n"),
+		[]byte("0x10,0x2000,w,5,0\n0x14,0x2040\n"),
+		[]byte("0xffffffffffffffff 0xfffffffffffff000\n0x1 0x40\n"),
+		[]byte("0x1 0x40\n0x2 0x80\n!!!\n"),
+		[]byte("1 2 r 3 1 9\n"),
+		bytes.Join([][]byte{
+			champsimInstr(0x100, [2]byte{}, [4]byte{}, [2]uint64{}, [4]uint64{}),
+			champsimInstr(0x104, [2]byte{5}, [4]byte{}, [2]uint64{}, [4]uint64{0x7000_1000}),
+			champsimInstr(0x108, [2]byte{6}, [4]byte{5}, [2]uint64{}, [4]uint64{0x7000_2000}),
+			champsimInstr(0x10c, [2]byte{}, [4]byte{}, [2]uint64{0x7000_3000}, [4]uint64{}),
+		}, nil),
+		champsimInstr(0x100, [2]byte{}, [4]byte{}, [2]uint64{}, [4]uint64{0x1000})[:37],
+		fixture,
+	}
+	for _, s := range seeds[:len(seeds):len(seeds)] {
+		var gz bytes.Buffer
+		zw := gzip.NewWriter(&gz)
+		zw.Write(s)
+		zw.Close()
+		seeds = append(seeds, gz.Bytes())
+	}
+	return seeds
+}
+
+// maxFuzzInput caps the decompressed size of a gzip-wrapped fuzz input, so
+// a small compressed input cannot balloon the worker's memory.
+const maxFuzzInput = 1 << 20
+
+// FuzzConvert feeds arbitrary bytes to Convert in each input format, plain
+// and gzip-wrapped. External traces are untrusted input (-trace-convert).
+// Convert must never panic; its allocation must stay linear in the
+// (decompressed) input; a conversion it accepts must replay exactly the refs
+// the format's parser produces; and the converted trace must survive
+// Export -> Import -> Export byte for byte.
+func FuzzConvert(f *testing.F) {
+	for _, s := range convertSeeds(f) {
+		f.Add(s, uint8(0), uint16(0))
+	}
+	f.Add([]byte("0x1 0x40\n0x2 0x80\n0x3 0xc0\n"), uint8(1), uint16(2))
+	formats := []string{"auto", "text", "champsim"}
+
+	f.Fuzz(func(t *testing.T, data []byte, format uint8, maxRefs uint16) {
+		// The decompressed input, for the allocation bound and the parser.
+		plain := data
+		if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
+			zr, err := gzip.NewReader(bytes.NewReader(data))
+			if err != nil {
+				plain = nil
+			} else {
+				// A corrupt stream keeps what decompressed before the error:
+				// Convert may stop at MaxRefs before reaching it.
+				plain, _ = io.ReadAll(io.LimitReader(zr, maxFuzzInput+1))
+				if len(plain) > maxFuzzInput {
+					return
+				}
+			}
+		}
+		opt := ConvertOptions{Name: "fuzz", Seed: 7, MaxRefs: int(maxRefs), Format: formats[int(format)%len(formats)]}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Convert(bytes.NewReader(data), opt)
+		runtime.ReadMemStats(&after)
+		// Fixed costs (two 64 KiB read buffers, the scanner's 64 KiB line
+		// buffer, a gzip reader) plus per input byte at most one text
+		// line's copy and fields and the growth of the parsed Ref slice.
+		if bound := uint64(1<<20 + 128*len(plain)); !raceEnabled && after.TotalAlloc-before.TotalAlloc > bound {
+			t.Fatalf("converting %d input bytes allocated %d, bound %d", len(plain), after.TotalAlloc-before.TotalAlloc, bound)
+		}
+		if err != nil {
+			return
+		}
+
+		parse := parseChampSimTrace
+		if opt.Format == "text" || opt.Format == "auto" && looksText(plain[:min(len(plain), 512)]) {
+			parse = parseTextTrace
+		}
+		want, err := parse(bufio.NewReader(bytes.NewReader(plain)), opt.MaxRefs)
+		if err != nil {
+			t.Fatalf("Convert accepted an input its parser rejects: %v", err)
+		}
+		if m.Len() != len(want) {
+			t.Fatalf("converted %d refs, the parser produced %d", m.Len(), len(want))
+		}
+		c := m.Cursor(m.Len())
+		var got Ref
+		for i := range want {
+			c.Next(&got)
+			if got != want[i] {
+				t.Fatalf("ref %d replays %+v, parsed %+v", i, got, want[i])
+			}
+		}
+
+		var first, second bytes.Buffer
+		if err := m.Export(&first, 0); err != nil {
+			t.Fatalf("export: %v", err)
+		}
+		back, err := Import(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("import of a converted trace: %v", err)
+		}
+		if err := back.Export(&second, 0); err != nil {
+			t.Fatalf("re-export: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("export -> import -> export is not byte-identical")
 		}
 	})
 }

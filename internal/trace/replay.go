@@ -2,29 +2,36 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 
 	"dspatch/internal/memaddr"
 )
 
 // Materialized is one recorded reference stream: the first n refs of a
-// (workload, seed) generator, stored as compact read-only columns so every
-// simulation of that stream replays the same buffer instead of re-running
-// the generator. Columns are append-only — a prefix, once recorded, is
-// immutable — which lets any number of concurrent replay cursors share the
-// buffers while one writer extends them for a longer run.
+// (workload, seed) generator, stored as one compact read-only byte stream so
+// every simulation of that stream replays the same buffer instead of
+// re-running the generator. The stream is append-only — a prefix, once
+// recorded, is immutable — which lets any number of concurrent replay
+// cursors share it while one writer extends it for a longer run.
 //
-// Column layout (structure-of-arrays):
+// Each ref is one record of three uvarints:
 //
-//   - lines: line addresses, stored decoded so replay is a pure array read
-//     (the file format delta-encodes them zigzag-varint instead; see
-//     traceio.go),
-//   - pcIdx + pcDict: PCs dictionary-coded to 32-bit indices (a workload
-//     has few distinct PCs relative to its length),
-//   - gaps: per-ref instruction gaps,
-//   - write, dep: 1-bit-per-ref packed flag sets.
+//   - zigzag(line − previous line), in the same wrapping int64 arithmetic as
+//     the DSPTRC01 delta column (traceio.go), so any 64-bit line round-trips
+//     and a sequential stream costs a byte or two;
+//   - the PC's index in pcDict (a workload has few distinct PCs relative to
+//     its length);
+//   - gap<<2 | write<<1 | dep: the gap is at most 65535, so the flags ride
+//     in its low bits without overflow.
+//
+// Records live in blocks that are allocated at their final capacity and
+// never move: blocks holds the full ones, tail the one being written. A
+// record never straddles two blocks, so a cursor decodes each block
+// independently. Blocks grow from minBlock to maxBlock bytes, which bounds
+// the unused capacity of a stream to one block while a short stream stays
+// small.
 type Materialized struct {
 	name string
 	seed int64
@@ -32,27 +39,17 @@ type Materialized struct {
 	mu  sync.Mutex
 	gen Generator // continuation state; nil for imported traces
 
-	n     int
-	lines []memaddr.Line
-	pcIdx []uint32
-	gaps  []uint16
-	// write and dep hold only COMPLETE 64-ref words; the in-progress word
-	// accumulates in writeCur/depCur and is appended once full. Extension
-	// therefore never rewrites an array element a concurrent cursor can
-	// read — the append-only sharing contract holds at word granularity,
-	// not just element granularity (a flag OR into a shared partial word
-	// would be a data race with replaying cursors).
-	write    []uint64
-	dep      []uint64
-	writeCur uint64
-	depCur   uint64
+	n      int
+	blocks [][]byte
+	tail   []byte
+	last   memaddr.Line // line of the last recorded ref, the next delta's base
 
 	pcDict []memaddr.PC
 	pcMap  map[memaddr.PC]uint32
 
 	// Lazy-import state (ImportFile): raw holds the undecoded body —
 	// everything between the magic and the CRC tail — of an imported file
-	// whose columns have not been decoded yet, hdrOff how much of it the
+	// whose stream has not been decoded yet, hdrOff how much of it the
 	// header parse consumed, and fileCRC the file's claimed checksum,
 	// verified against raw at first decode so corruption is still rejected
 	// before any ref replays. unmap releases the file mapping once decoding
@@ -63,6 +60,19 @@ type Materialized struct {
 	unmap     func()
 	decodeErr error
 }
+
+const (
+	minBlock = 256
+	maxBlock = 16 << 10
+	// maxRecord is the longest record: a 10-byte line delta, a 5-byte
+	// 32-bit PC index and a 3-byte gap-and-flags word.
+	maxRecord = binary.MaxVarintLen64 + binary.MaxVarintLen32 + 3
+
+	// The third varint of a record: gap<<gapShift | writeBit | depBit.
+	depBit   = 1
+	writeBit = 2
+	gapShift = 2
+)
 
 // Name returns the workload name the trace was recorded from.
 func (m *Materialized) Name() string { return m.name }
@@ -87,7 +97,7 @@ func (m *Materialized) CanExtend() bool {
 }
 
 // Validate forces a lazily-imported trace (ImportFile) to verify its
-// checksum and decode its columns now, returning the error replay would
+// checksum and decode its stream now, returning the error replay would
 // otherwise panic with. Eagerly-decoded and generator-backed traces validate
 // trivially.
 func (m *Materialized) Validate() error {
@@ -100,7 +110,7 @@ func (m *Materialized) Validate() error {
 func (m *Materialized) ensure(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// A lazily-imported trace decodes (and checksums) its columns on the way
+	// A lazily-imported trace decodes (and checksums) its stream on the way
 	// to the first cursor: a corrupt file is rejected here, before any ref
 	// replays.
 	if err := m.decodeIfNeededLocked(); err != nil {
@@ -112,15 +122,6 @@ func (m *Materialized) ensure(n int) {
 	if m.gen == nil {
 		panic(fmt.Sprintf("trace: imported trace %q holds %d refs, %d requested", m.name, m.n, n))
 	}
-	// Presize every column to n: growing by append would allocate several
-	// times the columns' final size on the way there.
-	add := n - m.n
-	m.lines = slices.Grow(m.lines, add)
-	m.pcIdx = slices.Grow(m.pcIdx, add)
-	m.gaps = slices.Grow(m.gaps, add)
-	words := n/64 - len(m.write)
-	m.write = slices.Grow(m.write, words)
-	m.dep = slices.Grow(m.dep, words)
 	var r Ref
 	for m.n < n {
 		m.gen.Next(&r)
@@ -130,11 +131,13 @@ func (m *Materialized) ensure(n int) {
 	}
 }
 
-// appendRefLocked records one ref at the tail of the columns. Callers hold
+// appendRefLocked records one ref at the tail of the stream. Callers hold
 // m.mu. Generator extension (ensure) and external-trace conversion
-// (FromRefs) share this append path, so both produce identical layouts.
+// (FromRefs) share this append path, so both produce identical streams.
 func (m *Materialized) appendRefLocked(r *Ref) error {
-	m.lines = append(m.lines, r.Line)
+	if r.Gap < 0 || r.Gap > 1<<16-1 {
+		return fmt.Errorf("trace: ref gap %d outside the recordable range [0, 65535]", r.Gap)
+	}
 	idx, ok := m.pcMap[r.PC]
 	if !ok {
 		idx = uint32(len(m.pcDict))
@@ -144,25 +147,86 @@ func (m *Materialized) appendRefLocked(r *Ref) error {
 		}
 		m.pcMap[r.PC] = idx
 	}
-	m.pcIdx = append(m.pcIdx, idx)
-	if r.Gap < 0 || r.Gap > 1<<16-1 {
-		return fmt.Errorf("trace: ref gap %d outside the recordable range [0, 65535]", r.Gap)
-	}
-	m.gaps = append(m.gaps, uint16(r.Gap))
-	bit := uint64(1) << uint(m.n%64)
+	gf := uint64(r.Gap) << gapShift
 	if r.Write {
-		m.writeCur |= bit
+		gf |= writeBit
 	}
 	if r.Dep {
-		m.depCur |= bit
+		gf |= depBit
 	}
+	m.appendRecordLocked(zigzag(int64(r.Line)-int64(m.last)), uint64(idx), gf)
+	m.last = r.Line
 	m.n++
-	if m.n%64 == 0 {
-		m.write = append(m.write, m.writeCur)
-		m.dep = append(m.dep, m.depCur)
-		m.writeCur, m.depCur = 0, 0
-	}
 	return nil
+}
+
+// appendRecordLocked appends one encoded record, opening a new block when
+// the tail cannot hold the longest one. Bytes are only ever written past
+// every length a cursor has snapshotted, and a full block's header is
+// appended to blocks once and never rewritten, so concurrent cursors need no
+// synchronization. Callers hold m.mu.
+func (m *Materialized) appendRecordLocked(delta, idx, gf uint64) {
+	if cap(m.tail)-len(m.tail) < maxRecord {
+		if m.tail != nil {
+			m.blocks = append(m.blocks, m.tail)
+		}
+		m.tail = make([]byte, 0, min(max(2*cap(m.tail), minBlock), maxBlock))
+	}
+	m.tail = binary.AppendUvarint(m.tail, delta)
+	m.tail = binary.AppendUvarint(m.tail, idx)
+	m.tail = binary.AppendUvarint(m.tail, gf)
+}
+
+// recordsLocked returns a reader over the stream as recorded now. Callers hold
+// m.mu.
+func (m *Materialized) recordsLocked() records {
+	return records{blocks: m.blocks, tail: m.tail}
+}
+
+// records decodes a snapshot of a stream's records in order. It reads only
+// bytes that were recorded before the snapshot, which later extensions
+// never rewrite.
+type records struct {
+	buf    []byte   // the block being decoded
+	pos    int      // next record's offset in buf
+	blocks [][]byte // full blocks not yet entered
+	tail   []byte   // the tail block as it was at the snapshot
+}
+
+// next decodes one record. Reading past the snapshot is a caller bug (the
+// cursor bounds it by its length).
+func (s *records) next() (delta, idx, gf uint64) {
+	if s.pos == len(s.buf) {
+		s.enter()
+	}
+	return s.uvarint(), s.uvarint(), s.uvarint()
+}
+
+// enter moves to the next block: the full blocks in order, then the tail.
+func (s *records) enter() {
+	if len(s.blocks) > 0 {
+		s.buf, s.blocks = s.blocks[0], s.blocks[1:]
+	} else {
+		s.buf, s.tail = s.tail, nil
+	}
+	s.pos = 0
+}
+
+// uvarint decodes one varint of a record, with the one-byte case inline.
+// The stream is written by appendRecordLocked, so every varint is well
+// formed.
+func (s *records) uvarint() uint64 {
+	if b := s.buf[s.pos]; b < 0x80 {
+		s.pos++
+		return uint64(b)
+	}
+	return s.uvarintLong()
+}
+
+func (s *records) uvarintLong() uint64 {
+	v, w := binary.Uvarint(s.buf[s.pos:])
+	s.pos += w
+	return v
 }
 
 // Cursor returns a Generator replaying the first n refs of the stream,
@@ -172,55 +236,36 @@ func (m *Materialized) appendRefLocked(r *Ref) error {
 func (m *Materialized) Cursor(n int) Generator {
 	m.ensure(n)
 	m.mu.Lock()
-	c := &cursor{
-		n:        n,
-		lines:    m.lines,
-		pcIdx:    m.pcIdx,
-		gaps:     m.gaps,
-		write:    m.write,
-		dep:      m.dep,
-		writeCur: m.writeCur,
-		depCur:   m.depCur,
-		pcDict:   m.pcDict,
-	}
+	c := &cursor{n: n, recs: m.recordsLocked(), pcDict: m.pcDict}
 	m.mu.Unlock()
 	return c
 }
 
-// cursor is one replay position over a Materialized prefix. The slice
-// headers — plus the in-progress flag words by value — are snapshotted under
-// the trace lock: later extensions only append past every array element the
-// cursor can read, so no synchronization is needed while replaying.
+// cursor is one replay position over a Materialized prefix. Its record
+// reader and dictionary header are snapshotted under the trace lock: later
+// extensions only write past every byte and entry the cursor can read, so
+// no synchronization is needed while replaying.
 type cursor struct {
-	n        int
-	i        int
-	lines    []memaddr.Line
-	pcIdx    []uint32
-	gaps     []uint16
-	write    []uint64
-	dep      []uint64
-	writeCur uint64 // flag bits of refs past the last complete word
-	depCur   uint64
-	pcDict   []memaddr.PC
+	n      int
+	i      int
+	line   memaddr.Line
+	recs   records
+	pcDict []memaddr.PC
 }
 
 // Next implements Generator.
 func (c *cursor) Next(r *Ref) {
-	i := c.i
-	if i >= c.n {
+	if c.i >= c.n {
 		panic("trace: replay cursor read past the recorded length")
 	}
-	r.Line = c.lines[i]
-	r.PC = c.pcDict[c.pcIdx[i]]
-	r.Gap = int(c.gaps[i])
-	bit := uint64(1) << uint(i%64)
-	w, d := c.writeCur, c.depCur
-	if word := i / 64; word < len(c.write) {
-		w, d = c.write[word], c.dep[word]
-	}
-	r.Write = w&bit != 0
-	r.Dep = d&bit != 0
-	c.i = i + 1
+	c.i++
+	delta, idx, gf := c.recs.next()
+	c.line += memaddr.Line(unzigzag(delta))
+	r.Line = c.line
+	r.PC = c.pcDict[idx]
+	r.Gap = int(gf >> gapShift)
+	r.Write = gf&writeBit != 0
+	r.Dep = gf&depBit != 0
 }
 
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }

@@ -48,49 +48,48 @@ func (m *Materialized) Export(w io.Writer, n int) error {
 	for _, pc := range m.pcDict {
 		writeUvarint(out, uint64(pc))
 	}
-	// Lines travel delta-encoded (zigzag-varint): most deltas are a few
-	// lines, so the dominant column compresses to a byte or two per ref.
-	deltas := make([]byte, 0, 2*n)
-	var last memaddr.Line
+	// The file holds the stream's fields as columns, each a pass over the
+	// records. Lines travel as the same zigzag-varint deltas the stream
+	// holds: most deltas are a few lines, so the dominant column compresses
+	// to a byte or two per ref.
+	each := func(f func(delta, idx, gf uint64)) {
+		recs := m.recordsLocked()
+		for i := 0; i < n; i++ {
+			f(recs.next())
+		}
+	}
 	var vbuf [binary.MaxVarintLen64]byte
-	for _, l := range m.lines[:n] {
-		d := int64(l) - int64(last)
-		last = l
-		deltas = append(deltas, vbuf[:binary.PutUvarint(vbuf[:], zigzag(d))]...)
-	}
-	writeUvarint(out, uint64(len(deltas)))
-	out.Write(deltas)
-	var buf [4]byte
-	for _, idx := range m.pcIdx[:n] {
-		binary.LittleEndian.PutUint32(buf[:], idx)
+	deltaLen := 0
+	each(func(delta, _, _ uint64) { deltaLen += binary.PutUvarint(vbuf[:], delta) })
+	writeUvarint(out, uint64(deltaLen))
+	each(func(delta, _, _ uint64) { out.Write(vbuf[:binary.PutUvarint(vbuf[:], delta)]) })
+	var buf [8]byte
+	each(func(_, idx, _ uint64) {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(idx))
 		out.Write(buf[:4])
-	}
-	for _, g := range m.gaps[:n] {
-		binary.LittleEndian.PutUint16(buf[:2], g)
+	})
+	each(func(_, _, gf uint64) {
+		binary.LittleEndian.PutUint16(buf[:2], uint16(gf>>gapShift))
 		out.Write(buf[:2])
-	}
-	// The flag columns travel as ceil(n/64) words: the complete words plus,
-	// when n is not word-aligned, the partial word (which may live in the
-	// in-progress accumulator or mid-array for a prefix export), masked to
-	// the exported refs.
-	writeFlagColumn := func(words []uint64, cur uint64) {
-		var b [8]byte
-		for _, v := range words[:n/64] {
-			binary.LittleEndian.PutUint64(b[:], v)
-			out.Write(b[:])
-		}
-		if n%64 != 0 {
-			partial := cur
-			if n/64 < len(words) {
-				partial = words[n/64]
+	})
+	// The flag columns travel as ceil(n/64) little-endian words, the last
+	// one zero past the n-th ref.
+	writeFlagColumn := func(bit uint64) {
+		var word uint64
+		i := 0
+		each(func(_, _, gf uint64) {
+			if gf&bit != 0 {
+				word |= 1 << uint(i%64)
 			}
-			partial &= uint64(1)<<uint(n%64) - 1
-			binary.LittleEndian.PutUint64(b[:], partial)
-			out.Write(b[:])
-		}
+			if i++; i%64 == 0 || i == n {
+				binary.LittleEndian.PutUint64(buf[:], word)
+				out.Write(buf[:])
+				word = 0
+			}
+		})
 	}
-	writeFlagColumn(m.write, m.writeCur)
-	writeFlagColumn(m.dep, m.depCur)
+	writeFlagColumn(writeBit)
+	writeFlagColumn(depBit)
 
 	binary.LittleEndian.PutUint32(buf[:4], crc.Sum32())
 	if _, err := bw.Write(buf[:4]); err != nil {
@@ -145,9 +144,9 @@ func ImportFile(path string) (*Materialized, error) {
 }
 
 // importBytes parses only the header of an exported trace — magic, name,
-// seed, ref count — and returns a Materialized whose columns decode lazily
+// seed, ref count — and returns a Materialized whose stream decodes lazily
 // from the retained body on first use. unmap, when non-nil, releases data's
-// backing mapping once the columns are decoded (or decoding fails).
+// backing mapping once the stream is decoded (or decoding fails).
 func importBytes(data []byte, unmap func()) (*Materialized, error) {
 	if len(data) < len(traceMagic)+4 {
 		return nil, fmt.Errorf("trace: import: file too short (%d bytes)", len(data))
@@ -186,7 +185,7 @@ func importBytes(data []byte, unmap func()) (*Materialized, error) {
 	}, nil
 }
 
-// decodeIfNeededLocked decodes a lazily-imported trace's columns on first
+// decodeIfNeededLocked decodes a lazily-imported trace's stream on first
 // use, releasing the raw body (and its file mapping) either way and latching
 // a failure so every later caller sees the same rejection. Fully-decoded and
 // generator-backed traces return nil immediately. Callers hold m.mu.
@@ -197,26 +196,25 @@ func (m *Materialized) decodeIfNeededLocked() error {
 	if m.raw == nil {
 		return nil
 	}
-	err := m.decodeColumnsLocked()
+	err := m.decodeBodyLocked()
 	m.raw = nil
 	if m.unmap != nil {
 		m.unmap()
 		m.unmap = nil
 	}
 	if err != nil {
-		// A failed decode must leave no partial columns behind.
-		m.lines, m.pcIdx, m.gaps, m.write, m.dep, m.pcDict = nil, nil, nil, nil, nil, nil
-		m.writeCur, m.depCur = 0, 0
 		m.decodeErr = err
 	}
 	return err
 }
 
-// decodeColumnsLocked verifies the body checksum and decodes the five
-// columns into m. The CRC is verified before any content is trusted, exactly
-// as the eager import always did — lazy loading moves the verification to
-// first replay, it never skips it.
-func (m *Materialized) decodeColumnsLocked() error {
+// decodeBodyLocked verifies the body checksum and every column, then
+// encodes the refs into m's stream. The CRC is verified before any content
+// is trusted, exactly as the eager import always did — lazy loading moves
+// the verification to first replay, it never skips it — and the whole file
+// is checked before the first record is written, so a failed decode leaves
+// no partial stream behind.
+func (m *Materialized) decodeBodyLocked() error {
 	body := m.raw
 	if got := crc32.ChecksumIEEE(body); got != m.fileCRC {
 		return fmt.Errorf("trace: import: CRC mismatch (file %08x, computed %08x)", m.fileCRC, got)
@@ -227,67 +225,53 @@ func (m *Materialized) decodeColumnsLocked() error {
 	if dictLen < 0 || dictLen > len(body) {
 		return fmt.Errorf("trace: import: implausible PC dictionary size %d", dictLen)
 	}
-	m.pcDict = make([]memaddr.PC, dictLen)
-	for i := range m.pcDict {
-		m.pcDict[i] = memaddr.PC(d.uvarint())
+	pcDict := make([]memaddr.PC, dictLen)
+	for i := range pcDict {
+		pcDict[i] = memaddr.PC(d.uvarint())
 	}
-	deltaLen := int(d.uvarint())
-	deltas := d.take(deltaLen)
-	if d.err == nil {
-		m.lines = make([]memaddr.Line, 0, n)
-		var last memaddr.Line
-		for i := 0; i < n; i++ {
-			u, w := canonicalUvarint(deltas)
-			if w <= 0 {
-				return fmt.Errorf("trace: import: truncated or overlong delta at ref %d", i)
-			}
-			deltas = deltas[w:]
-			last = memaddr.Line(int64(last) + unzigzag(u))
-			m.lines = append(m.lines, last)
-		}
-		if len(deltas) != 0 {
-			return fmt.Errorf("trace: import: %d bytes past the last delta", len(deltas))
-		}
-	}
-	m.pcIdx = make([]uint32, n)
-	for i := range m.pcIdx {
-		m.pcIdx[i] = binary.LittleEndian.Uint32(d.take(4))
-	}
-	m.gaps = make([]uint16, n)
-	for i := range m.gaps {
-		m.gaps[i] = binary.LittleEndian.Uint16(d.take(2))
-	}
-	// Split the flag columns back into complete words + the partial word
-	// (held out-of-array in memory; see Materialized).
-	full := n / 64
-	var stray bool // a partial word has bits set past the last ref
-	readFlagColumn := func() ([]uint64, uint64) {
-		words := make([]uint64, full)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(d.take(8))
-		}
-		var cur uint64
-		if n%64 != 0 {
-			cur = binary.LittleEndian.Uint64(d.take(8))
-			stray = stray || cur>>uint(n%64) != 0
-		}
-		return words, cur
-	}
-	m.write, m.writeCur = readFlagColumn()
-	m.dep, m.depCur = readFlagColumn()
+	deltas := d.take(int(d.uvarint()))
+	pcIdx := d.take(4 * n)
+	gaps := d.take(2 * n)
+	words := (n + 63) / 64
+	write := d.take(8 * words)
+	dep := d.take(8 * words)
 	if d.err != nil {
 		return fmt.Errorf("trace: import: %w", d.err)
-	}
-	if stray {
-		return fmt.Errorf("trace: import: flag bits set past ref %d", n)
 	}
 	if len(d.b) != 0 {
 		return fmt.Errorf("trace: import: %d trailing bytes after the columns", len(d.b))
 	}
-	for _, idx := range m.pcIdx {
-		if int(idx) >= dictLen {
+	rest := deltas
+	for i := 0; i < n; i++ {
+		_, w := canonicalUvarint(rest)
+		if w <= 0 {
+			return fmt.Errorf("trace: import: truncated or overlong delta at ref %d", i)
+		}
+		rest = rest[w:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("trace: import: %d bytes past the last delta", len(rest))
+	}
+	if n%64 != 0 {
+		for _, col := range [][]byte{write, dep} {
+			if binary.LittleEndian.Uint64(col[len(col)-8:])>>uint(n%64) != 0 {
+				return fmt.Errorf("trace: import: flag bits set past ref %d", n)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if idx := binary.LittleEndian.Uint32(pcIdx[4*i:]); int(idx) >= dictLen {
 			return fmt.Errorf("trace: import: PC index %d outside dictionary of %d", idx, dictLen)
 		}
+	}
+
+	m.pcDict = pcDict
+	flag := func(col []byte, i int) uint64 { return uint64(col[i/8]>>uint(i%8)) & 1 }
+	for i := 0; i < n; i++ {
+		delta, w := binary.Uvarint(deltas)
+		deltas = deltas[w:]
+		gf := uint64(binary.LittleEndian.Uint16(gaps[2*i:]))<<gapShift | flag(write, i)*writeBit | flag(dep, i)*depBit
+		m.appendRecordLocked(delta, uint64(binary.LittleEndian.Uint32(pcIdx[4*i:])), gf)
 	}
 	return nil
 }
