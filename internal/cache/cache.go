@@ -15,20 +15,30 @@
 //	word 0                      packed state: one valid/dirty/prefetch/used
 //	                            nibble per way
 //	words 1 .. 1+ptagWords      packed partial tags, one byte per way
+//	word ordOff                 recency order: way indices in victim order,
+//	                            LRU first, one nibble each, stored XORed with
+//	                            the identity order
+//	word ordOff+1               low-priority mask: one bit per way whose
+//	                            last fill was LowPriority
 //	words tagOff .. +Ways       full tags
-//	words lruOff .. +Ways       LRU stamps (0 = low-priority fill)
 //
 // Membership tests SWAR-scan the partial-tag words (a whole 8-way set in one
 // comparison) and only verify full tags on candidate bytes; victim selection
 // derives its invalid and dead-block candidate sets from the packed state
-// word with three bit operations. Keeping a set's words adjacent means the
-// typical probe touches one host cache line and a fill two or three, instead
-// of gathering from four distant arrays.
+// word with three bit operations and reads the LRU way off the order word's
+// low nibble. Keeping a set's words adjacent means the typical probe touches
+// one host cache line and a fill two, instead of gathering from four distant
+// arrays. Storing the order XORed with the identity makes an all-zero block
+// a valid empty set, so New allocates without an initialization pass.
 //
 // Replacement decisions are bit-for-bit those of the straightforward
-// scan-the-ways implementation: first invalid way, else (when DeadBlockAware)
-// the LRU prefetched-but-unused way, else plain LRU, ties always to the
-// lowest way index.
+// scan-the-ways implementation with per-way LRU stamps (reference.go): first
+// invalid way, else (when DeadBlockAware) the LRU prefetched-but-unused way,
+// else plain LRU, ties always to the lowest way index. A low-priority fill
+// has stamp 0 there, so low-priority ways lead the order in ascending way
+// index and every other way follows in last-touch order. A way not filled
+// since New has stamp 0 there too but no mask bit here; it is invalid, and an
+// invalid way is always the victim, so its place in the order decides nothing.
 package cache
 
 import (
@@ -65,6 +75,10 @@ const (
 	nibbleLSBs = 0x1111111111111111 // bit 0 of every nibble
 	byteLSBs   = 0x0101010101010101
 	byteMSBs   = 0x8080808080808080
+	nibbleMSBs = 0x8888888888888888
+
+	// identOrder is the order word of ways 0..15 in ascending index order.
+	identOrder = 0xFEDCBA9876543210
 )
 
 // Stats counts the events needed for the paper's coverage/accuracy and
@@ -89,29 +103,31 @@ type Cache struct {
 	tagShift  uint // log2(set count), precomputed: tag() runs per access
 	ways      int
 	setStride int
+	ordOff    int
 	tagOff    int
-	lruOff    int
 	validFull uint64 // fValid in every in-use nibble
-	stamp     uint64
+	ident     uint64 // identOrder restricted to the in-use nibbles
+	mruShift  uint   // bit offset of the order word's MRU nibble
 	stats     Stats
 
 	refWays []refWay // non-nil only in Config.Reference mode
+	stamp   uint64   // Reference mode's last-touch clock
 }
 
 // New builds a cache from cfg. Set count must be a power of two and Ways at
 // most 16 (the hierarchy uses 8 and 16).
 func New(cfg Config) *Cache {
+	if cfg.Ways < 1 || cfg.Ways > 16 {
+		panic("cache: ways must be in [1,16]")
+	}
 	sets := cfg.Sets()
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	if cfg.Ways < 1 || cfg.Ways > 16 {
-		panic("cache: ways must be in [1,16]")
-	}
 	ptagWords := (cfg.Ways + 7) / 8
-	tagOff := 1 + ptagWords
-	lruOff := tagOff + cfg.Ways
-	stride := (lruOff + cfg.Ways + 7) &^ 7 // whole 64B lines per block
+	ordOff := 1 + ptagWords
+	tagOff := ordOff + 2
+	stride := (tagOff + cfg.Ways + 7) &^ 7 // whole 64B lines per block
 	if cfg.Reference {
 		return &Cache{
 			cfg:      cfg,
@@ -128,9 +144,11 @@ func New(cfg Config) *Cache {
 		tagShift:  uint(popShift(uint64(sets - 1))),
 		ways:      cfg.Ways,
 		setStride: stride,
+		ordOff:    ordOff,
 		tagOff:    tagOff,
-		lruOff:    lruOff,
 		validFull: nibbleLSBs * fValid >> uint(64-4*cfg.Ways),
+		ident:     identOrder & (^uint64(0) >> uint(64-4*cfg.Ways)),
+		mruShift:  uint(4 * (cfg.Ways - 1)),
 	}
 }
 
@@ -215,7 +233,6 @@ func (c *Cache) Access(l memaddr.Line, write bool) Result {
 	}
 	c.stats.DemandAccesses++
 	set := c.set(l)
-	c.stamp++
 	way := c.findWay(set, c.tag(l))
 	if way < 0 {
 		c.stats.DemandMisses++
@@ -234,7 +251,7 @@ func (c *Cache) Access(l memaddr.Line, write bool) Result {
 		nib |= fDirty
 	}
 	set[0] = set[0]&^(0xF<<shift) | (nib&0xF)<<shift
-	set[c.lruOff+way] = c.stamp
+	c.promote(set, way)
 	return r
 }
 
@@ -327,7 +344,6 @@ func (c *Cache) Fill(l memaddr.Line, opts FillOpts) Victim {
 			c.stats.PrefetchUnused++
 		}
 	}
-	c.stamp++
 	set[c.tagOff+vi] = tag
 	nib := fValid
 	if opts.Dirty {
@@ -341,47 +357,60 @@ func (c *Cache) Fill(l memaddr.Line, opts FillOpts) Victim {
 	pshift := uint(vi&7) * 8
 	set[pi] = set[pi]&^(0xFF<<pshift) | (tag&0xFF)<<pshift
 	if opts.LowPriority {
-		set[c.lruOff+vi] = 0
+		c.demote(set, vi)
 	} else {
-		set[c.lruOff+vi] = c.stamp
+		c.promote(set, vi)
 	}
 	return victim
 }
 
-// argminAll returns the way with the smallest LRU stamp, ties to the lowest
-// way. It is argminLRU over every way, as a plain bounds-check-free loop:
-// this is the victim scan of every fill into a full set without dead-block
-// candidates, the hottest replacement path.
-func (c *Cache) argminAll(set []uint64) int {
-	// A plain strict-less-than forward scan: the branch body is two register
-	// moves, which the compiler turns into conditional moves, so the loop
-	// runs without data-dependent branches. Ties (including several
-	// zero-stamp low-priority ways) resolve to the lowest way, exactly as
-	// any forward scan with strict less-than does.
-	lru := set[c.lruOff : c.lruOff+c.ways]
-	best, bestStamp := 0, lru[0]
-	for i := 1; i < len(lru); i++ {
-		s := lru[i]
-		if s < bestStamp {
-			bestStamp = s
-			best = i
-		}
-	}
-	return best
+// unlink returns the order word ord without way's nibble, the nibbles above
+// it moved down one place.
+func unlink(ord uint64, way int) uint64 {
+	x := ord ^ nibbleLSBs*uint64(way)
+	// Zero-nibble finder. Only nibbles above a true zero can be flagged
+	// falsely, so the lowest flag is way's nibble (way occurs once).
+	m := (x - nibbleLSBs) &^ x & nibbleMSBs
+	lo := uint64(1)<<(uint(bits.TrailingZeros64(m))&^3) - 1
+	return ord&lo | ord>>4&^lo
 }
 
-// argminLRU returns the way with the smallest LRU stamp among the ways whose
-// nibble-LSB is set in mask, ties to the lowest way — identical to a forward
-// scan with a strict less-than.
+// promote moves way to the MRU end of its set's order, the reference's fresh
+// nonzero stamp, and clears its low-priority bit.
+func (c *Cache) promote(set []uint64, way int) {
+	ord := unlink(set[c.ordOff]^c.ident, way) | uint64(way)<<c.mruShift
+	set[c.ordOff] = ord ^ c.ident
+	set[c.ordOff+1] &^= 1 << uint(way)
+}
+
+// demote moves way among the low-priority ways leading its set's order, the
+// reference's stamp 0: after every low-priority way of lower index, so ties
+// still go to the lowest way.
+func (c *Cache) demote(set []uint64, way int) {
+	ord := unlink(set[c.ordOff]^c.ident, way)
+	low := set[c.ordOff+1]
+	at := 4 * uint(bits.OnesCount64(low&(1<<uint(way)-1)))
+	lo := uint64(1)<<at - 1
+	ord = ord&lo | (ord&^lo)<<4 | uint64(way)<<at
+	set[c.ordOff] = ord ^ c.ident
+	set[c.ordOff+1] = low | 1<<uint(way)
+}
+
+// argminAll returns the LRU way: the order word's low nibble. This is the
+// victim of every fill into a full set without dead-block candidates, the
+// hottest replacement path.
+func (c *Cache) argminAll(set []uint64) int {
+	return int((set[c.ordOff] ^ c.ident) & 0xF)
+}
+
+// argminLRU returns the first way in victim order whose nibble-LSB is set in
+// mask. mask must name at least one way.
 func (c *Cache) argminLRU(set []uint64, mask uint64) int {
-	best, bestStamp := 0, ^uint64(0)
-	for m := mask; m != 0; m &= m - 1 {
-		way := bits.TrailingZeros64(m) / 4
-		if s := set[c.lruOff+way]; s < bestStamp {
-			best, bestStamp = way, s
+	for ord := set[c.ordOff] ^ c.ident; ; ord >>= 4 {
+		if way := int(ord & 0xF); mask>>(uint(way)*4)&1 != 0 {
+			return way
 		}
 	}
-	return best
 }
 
 // Invalidate removes l if resident, returning whether it was dirty.

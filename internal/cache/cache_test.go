@@ -203,10 +203,22 @@ func TestCapacityProperty(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-power-of-two sets")
-		}
-	}()
-	New(Config{SizeBytes: 3 * 64, Ways: 1})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"zero ways", Config{SizeBytes: 512, Ways: 0}, "cache: ways must be in [1,16]"},
+		{"17 ways", Config{SizeBytes: 17 * 4 * 64, Ways: 17}, "cache: ways must be in [1,16]"},
+		{"non-power-of-two sets", Config{SizeBytes: 3 * 64, Ways: 1}, "cache: set count must be a positive power of two"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("New(%+v) panicked with %v, want %q", tc.cfg, got, tc.want)
+				}
+			}()
+			New(tc.cfg)
+		})
+	}
 }

@@ -1,15 +1,13 @@
-package perfbench
+package memsys_test
 
 import (
 	"testing"
 
-	"dspatch/internal/core"
 	"dspatch/internal/dram"
 	"dspatch/internal/memaddr"
 	"dspatch/internal/memsys"
 	"dspatch/internal/prefetch"
 	"dspatch/internal/sim"
-	"dspatch/internal/trace"
 )
 
 // refStream deterministically mixes strided streams with recurring spatial
@@ -55,25 +53,8 @@ func newPort(l2pf func() prefetch.Prefetcher) *memsys.Port {
 	return memsys.NewSystem(cfg, d, 1, l1, l2pf).Port(0)
 }
 
-// BenchmarkPortAccess measures the full per-reference memory-system path —
-// L1 lookup, stride training, miss handling, prefetch queue drain — the
-// innermost loop of every simulation. Steady state must not allocate.
-func BenchmarkPortAccess(b *testing.B) {
-	p := newPort(func() prefetch.Prefetcher { return core.New(core.DefaultConfig()) })
-	s := &refStream{x: 0x9E3779B97F4A7C15}
-	// Warm the hierarchy and the port's scratch buffers out of the timed loop.
-	for i := 0; i < 50_000; i++ {
-		s.access(p)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.access(p)
-	}
-}
-
-// TestPortAccessSteadyStateZeroAllocs enforces the tentpole invariant: after
-// warmup, Port.Access performs no heap allocation, for the DSPatch+SPP
+// TestPortAccessSteadyStateZeroAllocs enforces the hot path's invariant:
+// after warmup, Port.Access performs no heap allocation, for the DSPatch+SPP
 // configuration that stresses every structure on the path. The prefetchers'
 // telemetry counters are always on (plain uint64 increments in Train; the
 // CollectStats flag only snapshots them at finish time), so this guard also
@@ -90,48 +71,4 @@ func TestPortAccessSteadyStateZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Port.Access allocates %.2f times per access in steady state, want 0", allocs)
 	}
-}
-
-// BenchmarkDRAMAccess measures the DDR4 timing model alone: bank mapping,
-// row-buffer state machine, bus scheduling and the bandwidth monitor.
-func BenchmarkDRAMAccess(b *testing.B) {
-	d := dram.New(dram.DDR4(2, 2133))
-	var now uint64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		now += 17
-		d.AccessPriority(now, memaddr.Line(uint64(i)*97), i&7 == 0, i&1 == 0)
-	}
-}
-
-// BenchmarkDSPatchTrain measures the prefetcher itself: PB lookup, pattern
-// accumulation, anchoring/compression on evictions and SPT prediction.
-func BenchmarkDSPatchTrain(b *testing.B) {
-	d := core.New(core.DefaultConfig())
-	ctx := prefetch.StaticContext{Util: 1}
-	var dst []prefetch.Request
-	s := &refStream{x: 0x2545F4914F6CDD1D}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, pc, line, write := s.next()
-		dst = d.Train(prefetch.Access{PC: pc, Line: line, Write: write}, ctx, dst[:0])
-	}
-}
-
-// BenchmarkEndToEnd measures one complete single-thread simulation (trace
-// generation, core model, hierarchy, DSPatch+SPP) in references per second —
-// the unit the BENCH trajectory tracks.
-func BenchmarkEndToEnd(b *testing.B) {
-	w, ok := trace.ByName("tpcc")
-	if !ok {
-		b.Fatal("workload roster is missing tpcc")
-	}
-	opt := sim.DefaultST()
-	opt.Refs = 20_000
-	opt.L2 = sim.PFDSPatchSPP
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sim.RunSingle(w, opt)
-	}
-	b.ReportMetric(float64(opt.Refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }

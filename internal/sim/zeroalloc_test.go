@@ -1,4 +1,4 @@
-package perfbench
+package sim_test
 
 import (
 	"testing"
