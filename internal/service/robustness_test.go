@@ -129,26 +129,13 @@ func TestLivezReadyzSplitAcrossDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, err := c.Job(ctx, j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Status == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitDequeued(t, c, j.ID)
 
 	drainCtx, stopDrain := context.WithCancel(context.Background())
 	drainDone := make(chan struct{})
 	go func() { s.Drain(drainCtx); close(drainDone) }()
 
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if code, _ := probeEndpoint(t, c.BaseURL+"/readyz"); code == http.StatusServiceUnavailable {
 			break

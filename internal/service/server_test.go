@@ -44,6 +44,29 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
+// waitDequeued polls a job until a worker has taken it off the queue and
+// returns the status it then reads: running, or already terminal when the
+// job was short. A drain cancels the jobs a worker dequeues after it began,
+// so a test that drains around an in-flight job waits here first.
+func waitDequeued(t *testing.T, c *Client, id string) JobStatus {
+	t.Helper()
+	ctx := ctxT(t)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		v, err := c.Job(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Status != StatusQueued {
+			return v.Status
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, c := newTestServer(t, Config{JobWorkers: 1})
 	h, err := c.Health(ctxT(t))
@@ -403,22 +426,8 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatalf("SubmitRun: %v", err)
 	}
 	// Let it start, then cancel mid-simulation.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, err := c.Job(ctx, j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Status == StatusRunning {
-			break
-		}
-		if v.Status.Terminal() {
-			t.Fatalf("%d-ref job finished before cancel: %q", maxRefs, v.Status)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st := waitDequeued(t, c, j.ID); st != StatusRunning {
+		t.Fatalf("%d-ref job finished before cancel: %q", maxRefs, st)
 	}
 	if _, err := c.Cancel(ctx, j.ID); err != nil {
 		t.Fatalf("Cancel: %v", err)
@@ -687,6 +696,7 @@ func TestDrainStopsIntakeAndFinishesJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitDequeued(t, c, j.ID)
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	s.Drain(drainCtx)
@@ -719,20 +729,7 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, err := c.Job(ctx, j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Status == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitDequeued(t, c, j.ID)
 	drainCtx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -256,8 +256,9 @@ func parseChampSimTrace(r *bufio.Reader, maxRefs int) ([]Ref, error) {
 }
 
 // FromRefs builds a Materialized stream from explicit references — the
-// converter's constructor. The result is import-like: fixed length, no
-// generator continuation, and a content fingerprint, so it can Export,
+// converter's constructor. The result is import-like: fixed length (it
+// cannot extend), a content fingerprint, and like every finished stream it
+// holds only its encoded bytes and PC dictionary, so it can Export,
 // register and participate in cache keys exactly like a file import.
 func FromRefs(name string, seed int64, refs []Ref) (*Materialized, error) {
 	if name == "" {
@@ -267,13 +268,15 @@ func FromRefs(name string, seed int64, refs []Ref) (*Materialized, error) {
 		return nil, fmt.Errorf("trace: FromRefs: no references")
 	}
 	m := &Materialized{name: name, seed: seed}
+	pcs := map[memaddr.PC]uint32{}
 	m.mu.Lock()
 	for i := range refs {
-		if err := m.appendRefLocked(&refs[i]); err != nil {
+		if err := m.appendRefLocked(&refs[i], pcs); err != nil {
 			m.mu.Unlock()
 			return nil, err
 		}
 	}
+	m.sealLocked()
 	m.mu.Unlock()
 	// Stamp the content fingerprint: the trailing CRC of the stream's own
 	// export bytes, exactly what a file round-trip would carry.

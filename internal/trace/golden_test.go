@@ -31,7 +31,7 @@ func goldenExportHash(t *testing.T, w Workload, seed int64) string {
 	t.Helper()
 	// A private Materialized keeps the golden sweep out of the process-wide
 	// stream store (and its memory).
-	m := &Materialized{name: w.Name, seed: seed, gen: w.Build(seed)}
+	m := &Materialized{name: w.Name, seed: seed, build: w.Build}
 	m.ensure(goldenRefs)
 	var buf bytes.Buffer
 	if err := m.Export(&buf, goldenRefs); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dspatch/internal/memaddr"
@@ -27,17 +28,22 @@ import (
 //     in its low bits without overflow.
 //
 // Records live in blocks that are allocated at their final capacity and
-// never move: blocks holds the full ones, tail the one being written. A
-// record never straddles two blocks, so a cursor decodes each block
-// independently. Blocks grow from minBlock to maxBlock bytes, which bounds
-// the unused capacity of a stream to one block while a short stream stays
-// small.
+// never move: blocks holds the full ones, tail the last one. A record never
+// straddles two blocks, so a cursor decodes each block independently.
+// Blocks grow from minBlock to maxBlock bytes while a stream is written.
+//
+// A recording holds only its bytes and its dictionary: the generator and the
+// PC-to-index map exist only while the stream is written (ensure), and the
+// tail block and dictionary are trimmed to their lengths once it is (seal).
+// Extending a recording builds the generator again and skips the recorded
+// prefix, so an idle stream costs its encoded bytes however much state its
+// generator carries.
 type Materialized struct {
 	name string
 	seed int64
 
-	mu  sync.Mutex
-	gen Generator // continuation state; nil for imported traces
+	mu    sync.Mutex
+	build func(seed int64) Generator // the workload's Build; nil for imported traces
 
 	n      int
 	blocks [][]byte
@@ -45,7 +51,6 @@ type Materialized struct {
 	last   memaddr.Line // line of the last recorded ref, the next delta's base
 
 	pcDict []memaddr.PC
-	pcMap  map[memaddr.PC]uint32
 
 	// Lazy-import state (ImportFile): raw holds the undecoded body —
 	// everything between the magic and the CRC tail — of an imported file
@@ -88,12 +93,12 @@ func (m *Materialized) Len() int {
 }
 
 // CanExtend reports whether the stream can record more refs: true for
-// generator-backed recordings, false for imported traces, whose length is
-// fixed by their file.
+// recordings of a workload's generator, which an extension rebuilds, false
+// for imported and converted traces, whose length is fixed by their refs.
 func (m *Materialized) CanExtend() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.gen != nil
+	return m.build != nil
 }
 
 // Validate forces a lazily-imported trace (ImportFile) to verify its
@@ -119,33 +124,43 @@ func (m *Materialized) ensure(n int) {
 	if m.n >= n {
 		return
 	}
-	if m.gen == nil {
+	if m.build == nil {
 		panic(fmt.Sprintf("trace: imported trace %q holds %d refs, %d requested", m.name, m.n, n))
 	}
+	// The generator and the PC map live only for this extension: the
+	// generator replays the recorded prefix to reach the stream's end, and
+	// the map is rebuilt from the dictionary so new refs keep its indices.
+	gen := m.build(m.seed)
 	var r Ref
+	for i := 0; i < m.n; i++ {
+		gen.Next(&r)
+	}
+	pcs := make(map[memaddr.PC]uint32, len(m.pcDict))
+	for i, pc := range m.pcDict {
+		pcs[pc] = uint32(i)
+	}
 	for m.n < n {
-		m.gen.Next(&r)
-		if err := m.appendRefLocked(&r); err != nil {
+		gen.Next(&r)
+		if err := m.appendRefLocked(&r, pcs); err != nil {
 			panic(err.Error())
 		}
 	}
+	m.sealLocked()
 }
 
-// appendRefLocked records one ref at the tail of the stream. Callers hold
-// m.mu. Generator extension (ensure) and external-trace conversion
-// (FromRefs) share this append path, so both produce identical streams.
-func (m *Materialized) appendRefLocked(r *Ref) error {
+// appendRefLocked records one ref at the tail of the stream, indexing its PC
+// through pcs, the dictionary's PC-to-index map. Callers hold m.mu.
+// Generator extension (ensure) and external-trace conversion (FromRefs)
+// share this append path, so both produce identical streams.
+func (m *Materialized) appendRefLocked(r *Ref, pcs map[memaddr.PC]uint32) error {
 	if r.Gap < 0 || r.Gap > 1<<16-1 {
 		return fmt.Errorf("trace: ref gap %d outside the recordable range [0, 65535]", r.Gap)
 	}
-	idx, ok := m.pcMap[r.PC]
+	idx, ok := pcs[r.PC]
 	if !ok {
 		idx = uint32(len(m.pcDict))
 		m.pcDict = append(m.pcDict, r.PC)
-		if m.pcMap == nil {
-			m.pcMap = make(map[memaddr.PC]uint32)
-		}
-		m.pcMap[r.PC] = idx
+		pcs[r.PC] = idx
 	}
 	gf := uint64(r.Gap) << gapShift
 	if r.Write {
@@ -175,6 +190,20 @@ func (m *Materialized) appendRecordLocked(delta, idx, gf uint64) {
 	m.tail = binary.AppendUvarint(m.tail, delta)
 	m.tail = binary.AppendUvarint(m.tail, idx)
 	m.tail = binary.AppendUvarint(m.tail, gf)
+}
+
+// sealLocked ends every path that writes a stream (ensure, FromRefs, the
+// lazy import decode): it trims the tail block and the PC dictionary to
+// their lengths, so an idle stream holds no slack. Cursors keep the arrays
+// they snapshotted, and a later extension writes only past them. Callers
+// hold m.mu.
+func (m *Materialized) sealLocked() {
+	if cap(m.tail) > len(m.tail) {
+		m.tail = slices.Clone(m.tail)
+	}
+	if cap(m.pcDict) > len(m.pcDict) {
+		m.pcDict = slices.Clone(m.pcDict)
+	}
 }
 
 // recordsLocked returns a reader over the stream as recorded now. Callers hold
@@ -294,14 +323,14 @@ func Replay(w Workload, seed int64, n int) Generator {
 }
 
 // Shared returns the process-wide materialized stream for (w, seed),
-// creating an empty one (with the generator as continuation state) on first
-// use.
+// creating an empty one on first use. The stream keeps w.Build, not a
+// generator: a generator is built only while the stream is extended.
 func Shared(w Workload, seed int64) *Materialized {
 	k := storeKey{name: w.Name, seed: seed}
 	storeMu.Lock()
 	m := store[k]
 	if m == nil {
-		m = &Materialized{name: w.Name, seed: seed, gen: w.Build(seed)}
+		m = &Materialized{name: w.Name, seed: seed, build: w.Build}
 		store[k] = m
 	}
 	storeMu.Unlock()

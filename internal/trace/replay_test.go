@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -33,64 +34,141 @@ func TestReplayBitIdentityFullRoster(t *testing.T) {
 	}
 }
 
-// TestReplayExtension proves that a cursor over a short prefix stays valid
-// and bit-identical while the shared recording is extended for a longer run,
-// and that the extension itself continues the generator exactly.
+// TestReplayExtension proves that extending a recording regenerates exactly
+// the stream one recording in one go holds. For one workload of each
+// generator kind, a stream recorded in steps (5k refs, then 20k, then 20k+1)
+// must export the same bytes as one recorded at once, which pins the PC
+// dictionary's indices across the map each extension rebuilds, and the
+// cursor taken after each step must still replay its prefix of the
+// generator's stream once the later steps have extended the recording.
 func TestReplayExtension(t *testing.T) {
-	defer ResetShared()
-	w, ok := ByName("tpcc")
-	if !ok {
-		t.Fatal("roster is missing tpcc")
-	}
-	short := Replay(w, 7, 500)
-	long := Replay(w, 7, 3_000) // extends the same Materialized
-	gen := w.Build(7)
-	var want, a, b Ref
-	for i := 0; i < 3_000; i++ {
-		gen.Next(&want)
-		long.Next(&b)
-		if b != want {
-			t.Fatalf("extended replay diverges at ref %d", i)
+	const seed = 7
+	steps := []int{5_000, 20_000, 20_001}
+	total := steps[len(steps)-1]
+	// The first roster workload of each kind, or else the first mix part of
+	// it: no builtin workload is a bare deltas series.
+	kinds := map[string]Workload{}
+	add := func(name string, s ScenarioSpec) {
+		if _, ok := kinds[s.Kind]; !ok {
+			kinds[s.Kind] = Workload{Name: name, Build: s.generator}
 		}
-		if i < 500 {
-			short.Next(&a)
-			if a != want {
-				t.Fatalf("short cursor diverges at ref %d after extension", i)
+	}
+	specs := append(builtinSpecs(), irregularSpecs()...)
+	for _, s := range specs {
+		add(s.Name, s)
+	}
+	for _, s := range specs {
+		if s.Mix != nil {
+			for i, p := range s.Mix.Parts {
+				add(fmt.Sprintf("%s/part%d", s.Name, i), p)
 			}
 		}
+	}
+	for _, kind := range []string{KindStream, KindSpatial, KindDeltas, KindChase, KindPointer, KindMix} {
+		w, ok := kinds[kind]
+		if !ok {
+			t.Errorf("the roster has no spec of kind %q", kind)
+			continue
+		}
+		t.Run(kind+"/"+w.Name, func(t *testing.T) {
+			stepped := &Materialized{name: w.Name, seed: seed, build: w.Build}
+			var cursors []Generator
+			for _, n := range steps {
+				stepped.ensure(n)
+				cursors = append(cursors, stepped.Cursor(n))
+			}
+			if !stepped.CanExtend() {
+				t.Fatal("an extended recording can no longer extend")
+			}
+			once := &Materialized{name: w.Name, seed: seed, build: w.Build}
+			once.ensure(total)
+			var a, b bytes.Buffer
+			if err := stepped.Export(&a, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := once.Export(&b, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("recorded in steps %v, the stream exports %d bytes that differ from the %d of one %d-ref recording",
+					steps, a.Len(), b.Len(), total)
+			}
+			want := make([]Ref, total)
+			gen := w.Build(seed)
+			for i := range want {
+				gen.Next(&want[i])
+			}
+			for k, c := range cursors {
+				var got Ref
+				for i := 0; i < steps[k]; i++ {
+					if c.Next(&got); got != want[i] {
+						t.Fatalf("cursor over %d refs diverges at ref %d after later extensions: %+v != %+v",
+							steps[k], i, got, want[i])
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestMaterializeBytesPerRef: a materialized stream costs what its records
-// encode to, with no guessed reserve. Materializing 100k refs of mcf
-// allocates at most 8 bytes per ref, the PC dictionary included, and the
-// heap keeps at most 7 per ref once the garbage is collected.
+// encode to, with no guessed reserve and no generator kept behind it. Each
+// input is recorded on its own, and the heap it keeps once the garbage is
+// collected must be at most its encoded record bytes plus 8 bytes per PC
+// dictionary entry plus a small constant, however much state its generator
+// carries: the pointer-chase walks hold node rings of up to 1.6 MB at 5k
+// refs. Materializing 100k refs of mcf allocates at most 8 bytes per ref,
+// the dictionary and the short-lived generator included, and keeps at most
+// 7 per ref.
 func TestMaterializeBytesPerRef(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes what allocates")
 	}
-	const n = 100_000
-	w, ok := ByName("mcf")
-	if !ok {
-		t.Fatal("roster is missing mcf")
-	}
-	m := &Materialized{name: w.Name, seed: 1, gen: w.Build(1)}
-	var before, after, kept runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	m.ensure(n)
-	runtime.ReadMemStats(&after)
-	runtime.GC()
-	runtime.ReadMemStats(&kept)
-	runtime.KeepAlive(m)
-	alloc := float64(after.TotalAlloc-before.TotalAlloc) / n
-	retained := float64(int64(kept.HeapAlloc)-int64(before.HeapAlloc)) / n
-	t.Logf("mcf: %.2f B/ref allocated, %.2f B/ref retained", alloc, retained)
-	if alloc > 8 {
-		t.Errorf("materializing %d refs allocated %.2f B/ref, budget 8", n, alloc)
-	}
-	if retained > 7 {
-		t.Errorf("the materialized stream retains %.2f B/ref, budget 7", retained)
+	const slack = 8 << 10 // the Materialized, its block list, size-class rounding of the tail and dictionary
+	for _, tc := range []struct {
+		name                    string
+		refs                    int
+		allocPerRef, keptPerRef float64 // 0: no per-ref budget
+	}{
+		{"mcf", 100_000, 8, 7},
+		{"ll-walk-large", 5_000, 0, 0},
+		{"graph-walk-mix", 5_000, 0, 0},
+		{"tpcc", 5_000, 0, 0},
+	} {
+		w, ok := ByName(tc.name)
+		if !ok {
+			t.Fatalf("roster is missing %s", tc.name)
+		}
+		var before, after, kept runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m := &Materialized{name: w.Name, seed: 1, build: w.Build}
+		m.ensure(tc.refs)
+		runtime.ReadMemStats(&after)
+		runtime.GC()
+		runtime.ReadMemStats(&kept)
+		encoded := len(m.tail)
+		for _, b := range m.blocks {
+			encoded += len(b)
+		}
+		budget := encoded + 8*len(m.pcDict) + slack
+		runtime.KeepAlive(m)
+		allocated := int64(after.TotalAlloc - before.TotalAlloc)
+		retained := int64(kept.HeapAlloc) - int64(before.HeapAlloc)
+		t.Logf("%s: %d refs, %d B encoded, %d PCs; %.2f B/ref allocated, %d B retained (budget %d)",
+			tc.name, tc.refs, encoded, len(m.pcDict), float64(allocated)/float64(tc.refs), retained, budget)
+		if retained > int64(budget) {
+			t.Errorf("%s: the stream retains %d B, over its %d encoded bytes + %d dictionary entries + %d",
+				tc.name, retained, encoded, len(m.pcDict), slack)
+		}
+		if tc.allocPerRef > 0 && float64(allocated)/float64(tc.refs) > tc.allocPerRef {
+			t.Errorf("%s: materializing %d refs allocated %.2f B/ref, budget %g",
+				tc.name, tc.refs, float64(allocated)/float64(tc.refs), tc.allocPerRef)
+		}
+		if tc.keptPerRef > 0 && float64(retained)/float64(tc.refs) > tc.keptPerRef {
+			t.Errorf("%s: the stream retains %.2f B/ref, budget %g",
+				tc.name, float64(retained)/float64(tc.refs), tc.keptPerRef)
+		}
 	}
 }
 

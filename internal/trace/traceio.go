@@ -273,6 +273,7 @@ func (m *Materialized) decodeBodyLocked() error {
 		gf := uint64(binary.LittleEndian.Uint16(gaps[2*i:]))<<gapShift | flag(write, i)*writeBit | flag(dep, i)*depBit
 		m.appendRecordLocked(delta, uint64(binary.LittleEndian.Uint32(pcIdx[4*i:])), gf)
 	}
+	m.sealLocked()
 	return nil
 }
 
