@@ -20,10 +20,6 @@ type Config struct {
 	Maps      int // concurrently tracked pages
 	MaxStride int // largest stride considered
 	Degree    int // max prefetches per access
-
-	// Reference selects the pre-optimization linear map scan instead of the
-	// hashed page index; only the differential equivalence tests set it.
-	Reference bool
 }
 
 // DefaultConfig returns a 64-page AMPM comparable to the other prefetchers'
@@ -45,7 +41,7 @@ type AMPM struct {
 	clock uint64
 
 	// mapIdx maps live page numbers to their map slots for the O(1) per-train
-	// lookup; Reference mode scans the maps directly and must agree.
+	// lookup.
 	mapIdx *idx.Table
 
 	// Telemetry: plain hot-path counters, snapshotted by ReportStats.
@@ -103,14 +99,6 @@ func (a *AMPM) Train(acc prefetch.Access, _ prefetch.Context, dst []prefetch.Req
 }
 
 func (a *AMPM) lookup(page memaddr.Page) *mapEntry {
-	if a.cfg.Reference {
-		for i := range a.maps {
-			if a.maps[i].valid && a.maps[i].page == page {
-				return &a.maps[i]
-			}
-		}
-		return nil
-	}
 	if i, ok := a.mapIdx.Get(uint64(page)); ok {
 		return &a.maps[i]
 	}

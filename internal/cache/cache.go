@@ -32,7 +32,9 @@
 // a valid empty set, so New allocates without an initialization pass.
 //
 // Replacement decisions are bit-for-bit those of the straightforward
-// scan-the-ways implementation with per-way LRU stamps (reference.go): first
+// scan-the-ways implementation with per-way LRU stamps (scanStore, the
+// oracle FuzzTagStore compares every operation against; the golden result
+// corpus in internal/sim was proven against it in the simulator): first
 // invalid way, else (when DeadBlockAware) the LRU prefetched-but-unused way,
 // else plain LRU, ties always to the lowest way index. A low-priority fill
 // has stamp 0 there, so low-priority ways lead the order in ascending way
@@ -56,10 +58,6 @@ type Config struct {
 	// lines that were never demanded are evicted first, approximating the
 	// dead-block predictor the paper's baseline LLC uses.
 	DeadBlockAware bool
-	// Reference selects the pre-optimization scan-the-ways tag store (see
-	// reference.go), kept so differential tests can prove the packed layout
-	// bit-identical. Simulations never set it.
-	Reference bool
 }
 
 // Sets returns the number of sets implied by the configuration.
@@ -109,9 +107,6 @@ type Cache struct {
 	ident     uint64 // identOrder restricted to the in-use nibbles
 	mruShift  uint   // bit offset of the order word's MRU nibble
 	stats     Stats
-
-	refWays []refWay // non-nil only in Config.Reference mode
-	stamp   uint64   // Reference mode's last-touch clock
 }
 
 // New builds a cache from cfg. Set count must be a power of two and Ways at
@@ -128,15 +123,6 @@ func New(cfg Config) *Cache {
 	ordOff := 1 + ptagWords
 	tagOff := ordOff + 2
 	stride := (tagOff + cfg.Ways + 7) &^ 7 // whole 64B lines per block
-	if cfg.Reference {
-		return &Cache{
-			cfg:      cfg,
-			refWays:  make([]refWay, sets*cfg.Ways),
-			setMask:  uint64(sets - 1),
-			tagShift: uint(popShift(uint64(sets - 1))),
-			ways:     cfg.Ways,
-		}
-	}
 	return &Cache{
 		cfg:       cfg,
 		data:      make([]uint64, sets*stride),
@@ -228,9 +214,6 @@ type Result struct {
 // Access performs a demand load or store: it updates LRU and the per-line
 // use bits and returns whether the line was resident.
 func (c *Cache) Access(l memaddr.Line, write bool) Result {
-	if c.refWays != nil {
-		return c.refAccess(l, write)
-	}
 	c.stats.DemandAccesses++
 	set := c.set(l)
 	way := c.findWay(set, c.tag(l))
@@ -257,9 +240,6 @@ func (c *Cache) Access(l memaddr.Line, write bool) Result {
 
 // Probe reports whether l is resident without perturbing any state.
 func (c *Cache) Probe(l memaddr.Line) bool {
-	if c.refWays != nil {
-		return c.refProbe(l)
-	}
 	return c.findWay(c.set(l), c.tag(l)) >= 0
 }
 
@@ -289,9 +269,6 @@ type Victim struct {
 // victim results. Otherwise the victim (if any way was valid) is returned so
 // callers can write back dirty data and run pollution accounting.
 func (c *Cache) Fill(l memaddr.Line, opts FillOpts) Victim {
-	if c.refWays != nil {
-		return c.refFill(l, opts)
-	}
 	set := c.set(l)
 	tag := c.tag(l)
 	if !opts.Absent {
@@ -375,7 +352,7 @@ func unlink(ord uint64, way int) uint64 {
 	return ord&lo | ord>>4&^lo
 }
 
-// promote moves way to the MRU end of its set's order, the reference's fresh
+// promote moves way to the MRU end of its set's order, scanStore's fresh
 // nonzero stamp, and clears its low-priority bit.
 func (c *Cache) promote(set []uint64, way int) {
 	ord := unlink(set[c.ordOff]^c.ident, way) | uint64(way)<<c.mruShift
@@ -383,8 +360,8 @@ func (c *Cache) promote(set []uint64, way int) {
 	set[c.ordOff+1] &^= 1 << uint(way)
 }
 
-// demote moves way among the low-priority ways leading its set's order, the
-// reference's stamp 0: after every low-priority way of lower index, so ties
+// demote moves way among the low-priority ways leading its set's order,
+// scanStore's stamp 0: after every low-priority way of lower index, so ties
 // still go to the lowest way.
 func (c *Cache) demote(set []uint64, way int) {
 	ord := unlink(set[c.ordOff]^c.ident, way)
@@ -415,9 +392,6 @@ func (c *Cache) argminLRU(set []uint64, mask uint64) int {
 
 // Invalidate removes l if resident, returning whether it was dirty.
 func (c *Cache) Invalidate(l memaddr.Line) (present, dirty bool) {
-	if c.refWays != nil {
-		return c.refInvalidate(l)
-	}
 	set := c.set(l)
 	way := c.findWay(set, c.tag(l))
 	if way < 0 {

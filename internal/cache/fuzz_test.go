@@ -16,8 +16,7 @@ import (
 func runTagStoreOps(t *testing.T, ways int, deadBlockAware bool, ops []byte) {
 	cfg := Config{SizeBytes: 4 * ways * memaddr.LineBytes, Ways: ways, DeadBlockAware: deadBlockAware}
 	pk := New(cfg)
-	cfg.Reference = true
-	ref := New(cfg)
+	ref := newScanStore(cfg)
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, l := ops[i], memaddr.Line(ops[i+1])
 		switch op & 3 {
@@ -52,7 +51,7 @@ func runTagStoreOps(t *testing.T, ways int, deadBlockAware bool, ops []byte) {
 }
 
 // FuzzTagStore runs one operation sequence on the packed tag store and on
-// the Reference scan-the-ways store, for ways 1–16 on a 4-set geometry with
+// the scan-the-ways scanStore, for ways 1–16 on a 4-set geometry with
 // and without dead-block-aware replacement: every return value and the final
 // counters must agree.
 func FuzzTagStore(f *testing.F) {

@@ -2,14 +2,21 @@ package cache
 
 import "dspatch/internal/memaddr"
 
-// This file preserves the pre-optimization tag store — the straightforward
-// scan-the-ways implementation the packed SWAR layout replaced — behind
-// Config.Reference. It exists so the differential equivalence tests in
-// internal/sim can prove the optimized store bit-identical on every counter
-// and replacement decision; simulations never enable it.
+// scanStore is the straightforward tag store the packed layout replaced:
+// each set scans its ways, and each way carries a last-touch LRU stamp.
+// FuzzTagStore runs it op by op beside the packed store as the oracle for
+// every return value, replacement decision and counter.
+type scanStore struct {
+	cfg      Config
+	ways     []scanWay
+	setMask  uint64
+	tagShift uint
+	stamp    uint64 // last-touch clock
+	stats    Stats
+}
 
-// refWay is one cache line's tag state in the reference layout.
-type refWay struct {
+// scanWay is one cache line's tag state.
+type scanWay struct {
 	tag      uint64
 	lru      uint64 // last-touch stamp; 0 on low-priority fill
 	valid    bool
@@ -18,14 +25,28 @@ type refWay struct {
 	used     bool // demanded at least once since fill
 }
 
-func (c *Cache) refSet(l memaddr.Line) []refWay {
-	i := uint64(l) & c.setMask
-	return c.refWays[i*uint64(c.ways) : (i+1)*uint64(c.ways)]
+func newScanStore(cfg Config) *scanStore {
+	sets := cfg.Sets()
+	return &scanStore{
+		cfg:      cfg,
+		ways:     make([]scanWay, sets*cfg.Ways),
+		setMask:  uint64(sets - 1),
+		tagShift: uint(popShift(uint64(sets - 1))),
+	}
 }
 
-func (c *Cache) refAccess(l memaddr.Line, write bool) Result {
+func (c *scanStore) Stats() Stats { return c.stats }
+
+func (c *scanStore) set(l memaddr.Line) []scanWay {
+	i := int(uint64(l)&c.setMask) * c.cfg.Ways
+	return c.ways[i : i+c.cfg.Ways]
+}
+
+func (c *scanStore) tag(l memaddr.Line) uint64 { return uint64(l) >> c.tagShift }
+
+func (c *scanStore) Access(l memaddr.Line, write bool) Result {
 	c.stats.DemandAccesses++
-	set := c.refSet(l)
+	set := c.set(l)
 	tag := c.tag(l)
 	c.stamp++
 	for i := range set {
@@ -50,8 +71,8 @@ func (c *Cache) refAccess(l memaddr.Line, write bool) Result {
 	return Result{}
 }
 
-func (c *Cache) refProbe(l memaddr.Line) bool {
-	set := c.refSet(l)
+func (c *scanStore) Probe(l memaddr.Line) bool {
+	set := c.set(l)
 	tag := c.tag(l)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -61,8 +82,8 @@ func (c *Cache) refProbe(l memaddr.Line) bool {
 	return false
 }
 
-func (c *Cache) refFill(l memaddr.Line, opts FillOpts) Victim {
-	set := c.refSet(l)
+func (c *scanStore) Fill(l memaddr.Line, opts FillOpts) Victim {
+	set := c.set(l)
 	tag := c.tag(l)
 	for i := range set {
 		w := &set[i]
@@ -74,11 +95,11 @@ func (c *Cache) refFill(l memaddr.Line, opts FillOpts) Victim {
 	if opts.Prefetch {
 		c.stats.PrefetchFills++
 	}
-	vi := c.refPickVictim(set)
-	w := &set[vi]
+	w := &set[c.pickVictim(set)]
 	var victim Victim
 	if w.valid {
-		victim = Victim{Valid: true, Line: c.lineOf(l, w.tag), WasPrefetched: w.prefetch && !w.used, Dirty: w.dirty}
+		line := memaddr.Line(w.tag<<c.tagShift | uint64(l)&c.setMask)
+		victim = Victim{Valid: true, Line: line, WasPrefetched: w.prefetch && !w.used, Dirty: w.dirty}
 		c.stats.Evictions++
 		if w.dirty {
 			c.stats.DirtyEvictions++
@@ -88,16 +109,16 @@ func (c *Cache) refFill(l memaddr.Line, opts FillOpts) Victim {
 		}
 	}
 	c.stamp++
-	*w = refWay{tag: tag, valid: true, dirty: opts.Dirty, prefetch: opts.Prefetch, lru: c.stamp}
+	*w = scanWay{tag: tag, valid: true, dirty: opts.Dirty, prefetch: opts.Prefetch, lru: c.stamp}
 	if opts.LowPriority {
 		w.lru = 0
 	}
 	return victim
 }
 
-// refPickVictim chooses the way to replace: first invalid; then, when
+// pickVictim chooses the way to replace: first invalid; then, when
 // DeadBlockAware, the LRU prefetched-but-unused line; otherwise plain LRU.
-func (c *Cache) refPickVictim(set []refWay) int {
+func (c *scanStore) pickVictim(set []scanWay) int {
 	best, bestStamp := -1, ^uint64(0)
 	for i := range set {
 		if !set[i].valid {
@@ -122,8 +143,8 @@ func (c *Cache) refPickVictim(set []refWay) int {
 	return best
 }
 
-func (c *Cache) refInvalidate(l memaddr.Line) (present, dirty bool) {
-	set := c.refSet(l)
+func (c *scanStore) Invalidate(l memaddr.Line) (present, dirty bool) {
+	set := c.set(l)
 	tag := c.tag(l)
 	for i := range set {
 		w := &set[i]

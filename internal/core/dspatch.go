@@ -74,12 +74,6 @@ type Config struct {
 	AccThr      bitpattern.Quartile // accuracy threshold (50% → Q2)
 	CovThr      bitpattern.Quartile // coverage threshold (50% → Q2)
 	Mode        Mode
-
-	// Reference selects the pre-optimization per-train bookkeeping: the
-	// linear Page Buffer scan instead of the hashed page index. It exists so
-	// the differential equivalence tests can prove the indexed fast path
-	// bit-identical; simulations never set it.
-	Reference bool
 }
 
 // DefaultConfig returns the paper's 3.6KB configuration.
@@ -111,7 +105,6 @@ type pbEntry struct {
 	pattern  bitpattern.Pattern // 64b, absolute line offsets in the page
 	triggers [memaddr.SegsPage]trigger
 	valid    bool
-	used     uint64
 }
 
 // sptEntry is one Signature Prediction Table entry (Table 1: CovP 32b,
@@ -172,24 +165,20 @@ type DSPatch struct {
 	cfg   Config
 	pb    []pbEntry
 	spt   []sptEntry
-	clock uint64
 	stats Stats
 
 	// pbPages mirrors pb[i].page for valid entries (an impossible sentinel
-	// otherwise); the Reference-mode PB lookup scans this dense word array.
+	// otherwise), so the most-recent-slot check reads one dense word.
 	pbPages []memaddr.Page
-	// pbIdx is the O(1) page → PB-slot index the optimized lookup probes
-	// instead of scanning pbPages. Both are maintained on every PB mutation
-	// so either lookup path answers identically.
+	// pbIdx is the O(1) page → PB-slot index the lookup probes. Both are
+	// maintained on every PB mutation.
 	pbIdx *idx.Table
 
-	// Exact-LRU bookkeeping for the optimized victim choice. Touch stamps
-	// (pb[i].used) are unique — the clock advances every train — so a
-	// most-recent-first list ordered by touches IS the stamp order, and its
-	// tail is precisely the entry the Reference-mode min-stamp scan finds.
+	// Exact-LRU bookkeeping for the victim choice: a most-recent-first list
+	// ordered by trains, so its tail is the least recently trained entry.
 	// While the PB is still filling, slots are handed out in index order
-	// (pbFree), matching the scan's first-invalid-slot choice: entries only
-	// invalidate all at once (Flush), so the invalid set is always a suffix.
+	// (pbFree), the first invalid slot: entries only invalidate all at once
+	// (Flush), so the invalid set is always a suffix.
 	pbMRU  int32 // most recently touched slot: spatial streams revisit it
 	pbHead int32 // list head (most recent), -1 when empty
 	pbTail int32 // list tail (least recent), -1 when empty
@@ -265,7 +254,6 @@ func (d *DSPatch) sptIndex(pc memaddr.PC) uint64 {
 // Train implements prefetch.Prefetcher: observe one L1 miss, update the PB,
 // and emit prefetches if this access triggers a segment.
 func (d *DSPatch) Train(a prefetch.Access, ctx prefetch.Context, dst []prefetch.Request) []prefetch.Request {
-	d.clock++
 	page := a.Line.Page()
 	off := a.Line.PageOffset()
 	seg := a.Line.Segment()
@@ -278,10 +266,7 @@ func (d *DSPatch) Train(a prefetch.Access, ctx prefetch.Context, dst []prefetch.
 		slot = d.allocPB(page, ctx) // may learn from the evicted generation
 	}
 	e := &d.pb[slot]
-	e.used = d.clock
-	if !d.cfg.Reference {
-		d.pbTouch(int32(slot))
-	}
+	d.pbTouch(int32(slot))
 
 	isTrigger := !e.triggers[seg].valid
 	e.pattern = e.pattern.Set(off)
@@ -301,16 +286,8 @@ func (d *DSPatch) Train(a prefetch.Access, ctx prefetch.Context, dst []prefetch.
 // lookupPB returns the PB slot tracking page, or -1. The optimized path
 // first checks the most recently touched slot — spatial streams deliver
 // several consecutive trains to one page — and falls back to the hashed
-// index; Reference mode scans the dense page array.
+// index.
 func (d *DSPatch) lookupPB(page memaddr.Page) int {
-	if d.cfg.Reference {
-		for i, pg := range d.pbPages {
-			if pg == page {
-				return i
-			}
-		}
-		return -1
-	}
 	if m := d.pbMRU; d.pbPages[m] == page {
 		return int(m)
 	}
@@ -350,22 +327,10 @@ func (d *DSPatch) pbTouch(i int32) {
 func (d *DSPatch) allocPB(page memaddr.Page, ctx prefetch.Context) int {
 	var victim int
 	switch {
-	case d.cfg.Reference:
-		oldest := ^uint64(0)
-		for i := range d.pb {
-			if !d.pb[i].valid {
-				victim = i
-				oldest = 0
-				break
-			}
-			if d.pb[i].used < oldest {
-				oldest, victim = d.pb[i].used, i
-			}
-		}
 	case int(d.pbFree) < len(d.pb):
-		// Filling phase: slots are issued in index order, exactly the
-		// first-invalid-slot the reference scan picks (invalidation only
-		// happens wholesale, so invalid slots are always a suffix).
+		// Filling phase: slots are issued in index order, the first invalid
+		// slot (invalidation only happens wholesale, so invalid slots are
+		// always a suffix).
 		victim = int(d.pbFree)
 		d.pbFree++
 		i := int32(victim)
@@ -379,9 +344,8 @@ func (d *DSPatch) allocPB(page memaddr.Page, ctx prefetch.Context) int {
 			d.pbTail = i
 		}
 	default:
-		// Steady state: the recency-list tail is the min-stamp entry the
-		// reference scan finds (stamps are unique and touch-ordered). The
-		// caller's pbTouch moves it to the front.
+		// Steady state: the recency-list tail is the least recently trained
+		// entry. The caller's pbTouch moves it to the front.
 		victim = int(d.pbTail)
 	}
 	if d.pb[victim].valid {
@@ -390,9 +354,7 @@ func (d *DSPatch) allocPB(page memaddr.Page, ctx prefetch.Context) int {
 	}
 	d.pb[victim] = pbEntry{page: page, pattern: bitpattern.New(memaddr.LinesPage), valid: true}
 	d.pbPages[victim] = page
-	if !d.cfg.Reference {
-		d.pbIdx.Put(uint64(page), victim)
-	}
+	d.pbIdx.Put(uint64(page), victim)
 	return victim
 }
 

@@ -5,10 +5,10 @@
 // tables, AMPM's access maps — with O(1) probes while the tables themselves
 // (and their LRU victim scans, which run only on eviction) stay untouched.
 //
-// The index is an acceleration structure, not state: every lookup answer is
-// checked against the backing table by the differential equivalence tests,
-// which run the same simulations with the linear scans (Reference mode) and
-// demand bit-identical results.
+// The index is an acceleration structure, not state: it must answer exactly
+// as a linear scan of the backing table would. The golden result corpus
+// (internal/sim/testdata/golden_results.json) was proven against those scans
+// and pins every model's results.
 package idx
 
 // Table maps uint64 keys to non-negative int32 slots with linear probing

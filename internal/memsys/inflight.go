@@ -21,9 +21,9 @@ import (
 // therefore never expired lazily on the lookup/insert path; like the map,
 // they persist until the port's prune threshold (4096 entries, demand path)
 // triggers a rebuild that discards completed entries — the same rule, at the
-// same trigger points, as the old pruneInflight. The differential equivalence
-// tests in internal/sim hold the two implementations to bit-identical
-// results.
+// same trigger points, as the old map pruning. The golden result corpus
+// (internal/sim/testdata/golden_results.json) was proven against the map, so
+// it holds the table to the map's results.
 //
 // Layout is struct-of-arrays: probes walk a dense array of line keys (an
 // impossible sentinel marks empty slots), and the ready cycle — with the
@@ -157,10 +157,9 @@ func (t *inflightTable) grow() {
 }
 
 // prune discards completed entries once the table holds inflightPrune of
-// them, exactly as the map-based pruneInflight did: entries with ready <= now
-// go, live ones stay. Callers invoke it where the old code did (the demand
-// miss path), keeping the two implementations' contents identical at every
-// step.
+// them, exactly as the map's pruning did: entries with ready <= now go, live
+// ones stay. The port invokes it where the map was pruned (the demand miss
+// path), keeping the contents identical to the map's at every step.
 func (t *inflightTable) prune(now uint64) {
 	if t.occupied < inflightPrune {
 		return

@@ -32,13 +32,6 @@ type Config struct {
 	// MaxPrefetchesPerTrain caps how many candidates one training event may
 	// issue (queue backpressure).
 	MaxPrefetchesPerTrain int
-
-	// Reference selects the pre-optimization bookkeeping: a map-based
-	// in-flight tracker with periodic pruning and linear MSHR free-slot
-	// scans. It exists so the differential equivalence tests can prove the
-	// open-addressed in-flight table and the O(1) MSHR ring bit-identical to
-	// the structures they replaced; simulations never set it.
-	Reference bool
 }
 
 // DefaultConfig returns the paper's Table 2 hierarchy for the given core
@@ -129,13 +122,6 @@ type System struct {
 // NewSystem builds a machine with the given number of cores. Prefetcher
 // factories may be nil for no prefetching at that level.
 func NewSystem(cfg Config, d *dram.DRAM, cores int, l1pf, l2pf func() prefetch.Prefetcher) *System {
-	if cfg.Reference {
-		// Reference mode covers the whole memory system: the cache tag
-		// stores flip to their pre-optimization scan-the-ways layout too.
-		cfg.L1.Reference = true
-		cfg.L2.Reference = true
-		cfg.LLC.Reference = true
-	}
 	s := &System{cfg: cfg, dram: d, llc: cache.New(cfg.LLC)}
 	for i := 0; i < cores; i++ {
 		p := &Port{
@@ -151,14 +137,8 @@ func NewSystem(cfg Config, d *dram.DRAM, cores int, l1pf, l2pf func() prefetch.P
 			// burst before compaction kicks in.
 			reqBuf: make([]prefetch.Request, 0, 64),
 			pq:     make([]queuedPrefetch, 0, 2*prefetchQueueCap),
-
-			ref: cfg.Reference,
 		}
-		if cfg.Reference {
-			p.refInflight = make(map[memaddr.Line]flight)
-		} else {
-			p.inflight.init()
-		}
+		p.inflight.init()
 		// The prefetch.Context the trainers see is boxed once here: building
 		// the interface value per Train call made the L1-hit path allocate.
 		p.ctx = portContext{p}
@@ -208,11 +188,6 @@ type Port struct {
 	inflight inflightTable
 	l1mshr   mshrRing // round-robin demand claim = "oldest frees first"
 	l2mshr   mshrRing
-
-	// Reference-mode state (Config.Reference): the pre-optimization
-	// structures, kept so tests can assert the optimized ones bit-identical.
-	ref         bool
-	refInflight map[memaddr.Line]flight
 
 	reqBuf []prefetch.Request
 	// pq is the core's prefetch queue: candidates wait here and drain a few
@@ -310,36 +285,11 @@ func (p *Port) mergeWait(start, ready uint64) uint64 {
 	return ready
 }
 
-// inflightLookup finds the in-flight record for line, if any. Expired
-// records may still surface; every caller compares ready against its own
-// deadline, so they are indistinguishable from absence.
-func (p *Port) inflightLookup(line memaddr.Line) (flight, bool) {
-	if p.ref {
-		f, ok := p.refInflight[line]
-		return f, ok
-	}
-	return p.inflight.lookup(line)
-}
-
 // inflightInsert records an outstanding fetch, overwriting any previous
-// record for the line in place.
+// record for the line in place, and counts the mutation for the drain skip.
 func (p *Port) inflightInsert(line memaddr.Line, f flight) {
 	p.gen++
-	if p.ref {
-		p.refInflight[line] = f
-		return
-	}
 	p.inflight.insert(line, f)
-}
-
-// inflightPrune discards completed records once the tracker holds 4096
-// entries. Called on the demand miss path, as the original map pruning was.
-func (p *Port) inflightPrune(now uint64) {
-	if p.ref {
-		p.pruneInflight(now)
-		return
-	}
-	p.inflight.prune(now)
 }
 
 // Access performs one demand load or store issued at cycle now and returns
@@ -362,7 +312,7 @@ func (p *Port) Access(now uint64, pc memaddr.PC, line memaddr.Line, write bool) 
 		done := now + p.sys.cfg.L1HitLat
 		// A hit on a line whose fetch is still in flight waits for the data
 		// (the tag is installed at issue; see issuePrefetches).
-		if f, ok := p.inflightLookup(line); ok && f.ready > done {
+		if f, ok := p.inflight.lookup(line); ok && f.ready > done {
 			done = p.mergeWait(now, f.ready)
 		}
 		if r1.FirstUseOfPrefetch {
@@ -409,7 +359,7 @@ func (p *Port) fetchDemand(now uint64, line memaddr.Line, write bool) uint64 {
 		// If the line is still in flight (tag filled at issue), the demand
 		// waits for the data. The entry stays until it expires so further
 		// demands in the window also wait.
-		if f, ok := p.inflightLookup(line); ok && f.ready > done {
+		if f, ok := p.inflight.lookup(line); ok && f.ready > done {
 			done = p.mergeWait(start, f.ready)
 		}
 		if r2.FirstUseOfPrefetch {
@@ -424,7 +374,7 @@ func (p *Port) fetchDemand(now uint64, line memaddr.Line, write bool) uint64 {
 	rL := p.sys.llc.Access(line, write)
 	if rL.Hit {
 		done := start + cfg.LLCHitLat
-		if f, ok := p.inflightLookup(line); ok && f.ready > done {
+		if f, ok := p.inflight.lookup(line); ok && f.ready > done {
 			done = p.mergeWait(start, f.ready)
 		}
 		if rL.FirstUseOfPrefetch {
@@ -457,7 +407,7 @@ func (p *Port) fetchDemand(now uint64, line memaddr.Line, write bool) uint64 {
 	p.fillLLC(line, cache.FillOpts{Dirty: write, Absent: true}, 0)
 	p.fillL2(line, cache.FillOpts{Dirty: write, Absent: true})
 	p.inflightInsert(line, flight{ready: dramDone})
-	p.inflightPrune(now)
+	p.inflight.prune(now)
 	p.l2mshr.patchLast(dramDone)
 	p.l1mshr.patchLast(dramDone)
 	return dramDone
@@ -470,7 +420,7 @@ func (p *Port) issuePrefetches(now uint64, reqs []prefetch.Request, toL1 bool) {
 	if len(reqs) == 0 && p.pqHead == len(p.pq) {
 		// Nothing to enqueue and nothing queued: the drain below would be a
 		// pure no-op (an empty queue always exits the drain loop unblocked,
-		// so drainBlocked is already false). Holds in Reference mode too.
+		// so drainBlocked is already false).
 		return
 	}
 	n := len(reqs)
@@ -499,10 +449,10 @@ func (p *Port) drainPrefetchQueue(now uint64) {
 	// only tightens for a fresh attempt at the same cycle), so skip it
 	// outright. Saturated phases hit this on nearly every event. A full
 	// queue displacing the blocked head (issuePrefetches bumps pqHead)
-	// invalidates the skip: the new head may well issue. Reference mode
-	// always re-drains, so the differential equivalence tests prove the
-	// skip is a pure no-op.
-	if !p.ref && p.drainBlocked && now == p.drainBlockedNow && p.pqHead == p.drainBlockedHead &&
+	// invalidates the skip: the new head may well issue. The golden corpus
+	// (internal/sim/testdata/golden_results.json) was proven against a
+	// drain that never skipped, so it holds the skip to a pure no-op.
+	if p.drainBlocked && now == p.drainBlockedNow && p.pqHead == p.drainBlockedHead &&
 		p.gen == p.drainGenPort && p.sys.gen == p.drainGenSys {
 		return
 	}
@@ -537,7 +487,7 @@ func (p *Port) drainPrefetchQueue(now uint64) {
 		// completed relative to this event can still be observably in flight
 		// for a later access at an earlier cycle; cleanup belongs to the
 		// deterministic prune on the demand path.
-		if f, ok := p.inflightLookup(line); ok && f.ready > now {
+		if f, ok := p.inflight.lookup(line); ok && f.ready > now {
 			p.pqHead++
 			continue
 		}
@@ -556,12 +506,7 @@ func (p *Port) drainPrefetchQueue(now uint64) {
 		}
 		// A prefetch needs an L2 MSHR for its whole flight and must leave
 		// headroom for demand misses; it stays queued while none is free.
-		var slot int
-		if p.ref {
-			slot = freeMSHRReserve(p.l2mshr.times, now, demandMSHRReserve)
-		} else {
-			slot = p.l2mshr.freeReserve(now, demandMSHRReserve)
-		}
+		slot := p.l2mshr.freeReserve(now, demandMSHRReserve)
 		if slot < 0 {
 			blocked = true
 			break
@@ -618,25 +563,6 @@ const demandMSHRReserve = 4
 // this far apart.
 const prefetchIssueInterval = 4
 
-// freeMSHRReserve returns the index of a free slot at cycle now, provided at
-// least reserve+1 slots are free (the reserve stays available to demands);
-// -1 otherwise.
-func freeMSHRReserve(ring []uint64, now uint64, reserve int) int {
-	free, first := 0, -1
-	for i, t := range ring {
-		if t <= now {
-			free++
-			if first < 0 {
-				first = i
-			}
-			if free > reserve {
-				return first
-			}
-		}
-	}
-	return -1
-}
-
 // fillL2 installs a line in the private L2, cascading dirty victims to the
 // LLC.
 func (p *Port) fillL2(line memaddr.Line, opts cache.FillOpts) {
@@ -664,18 +590,5 @@ func (p *Port) fillLLC(line memaddr.Line, opts cache.FillOpts, evicter memaddr.L
 	if v.Valid && v.Dirty {
 		p.sys.dram.AccessPriority(p.now+p.sys.cfg.LLCHitLat, v.Line, true, false)
 		p.stats.Writebacks++
-	}
-}
-
-// pruneInflight bounds the reference-mode in-flight map by discarding
-// completed entries. The open-addressed table compacts itself instead.
-func (p *Port) pruneInflight(now uint64) {
-	if len(p.refInflight) < 4096 {
-		return
-	}
-	for l, f := range p.refInflight {
-		if f.ready <= now {
-			delete(p.refInflight, l)
-		}
 	}
 }

@@ -69,6 +69,25 @@ func TestMSHRRingMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// freeMSHRReserve is the linear-scan oracle for mshrRing.freeReserve: the
+// index of the first slot free at cycle now, provided at least reserve+1
+// slots are free (the reserve stays available to demands); -1 otherwise.
+func freeMSHRReserve(ring []uint64, now uint64, reserve int) int {
+	free, first := 0, -1
+	for i, t := range ring {
+		if t <= now {
+			free++
+			if first < 0 {
+				first = i
+			}
+			if free > reserve {
+				return first
+			}
+		}
+	}
+	return -1
+}
+
 // TestInflightTableMatchesMap drives the open-addressed table and a plain
 // map through the same randomized insert/lookup/prune sequence and checks
 // they expose identical contents throughout, including after prunes at

@@ -68,14 +68,10 @@ func runBatchMachines(ctx context.Context, ws []trace.Workload, opts []Options) 
 	// once and fed to every machine. Multi-lane machines interleave their
 	// lanes by per-machine core timing, so each machine keeps its own cursors
 	// over the shared columns and the batch steps the machines round-robin —
-	// still one outer pass, still cache-resident together. directGeneration
-	// opts out of cursor sharing entirely (fresh generators per lane).
+	// still one outer pass, still cache-resident together. Either way every
+	// lane replays the same materialized stream a fresh generator would emit;
+	// the golden corpus (testdata/golden_results.json) pins the results.
 	shared := n == 1
-	for _, o := range opts {
-		if o.directGeneration {
-			shared = false
-		}
-	}
 
 	machines := make([]*machine, len(opts))
 	for i, o := range opts {

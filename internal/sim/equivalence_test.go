@@ -15,7 +15,8 @@ import (
 
 // resultSnapshot flattens everything observable about a run — the Result
 // fields plus every per-port stats counter — into a comparable value, so the
-// differential tests can assert bit-identity without chasing live pointers.
+// batch-vs-serial tests can assert bit-identity without chasing live
+// pointers.
 type resultSnapshot struct {
 	IPC              []float64
 	Cycles           uint64
@@ -24,6 +25,7 @@ type resultSnapshot struct {
 	Accuracy         float64
 	AvgBandwidthGBps float64
 	Pollution        [3]float64
+	Prefetchers      []PrefetcherStats
 
 	PortStats  []memsys.CoverageStats
 	Useful     []uint64
@@ -46,6 +48,7 @@ func snapshot(m *machine) resultSnapshot {
 		Accuracy:         r.Accuracy,
 		AvgBandwidthGBps: r.AvgBandwidthGBps,
 		Pollution:        r.Pollution,
+		Prefetchers:      r.Prefetchers,
 	}
 	for i, l := range m.lanes {
 		p := l.ad.port
@@ -75,102 +78,12 @@ func runSnapshot(ws []trace.Workload, opt Options) resultSnapshot {
 	return snapshot(m)
 }
 
-// runBoth simulates the same job twice — once fully optimized (open-addressed
-// memory-system structures, hashed prefetcher-model lookups, replayed
-// materialized traces) and once fully in reference mode (map-based in-flight
-// tracking, linear MSHR and model scans, per-probe divisions, fresh
-// generators) — and returns both snapshots.
-func runBoth(ws []trace.Workload, opt Options) (optimized, reference resultSnapshot) {
-	opt.referenceMemsys, opt.referenceModels, opt.directGeneration = false, false, false
-	optimized = runSnapshot(ws, opt)
-	opt.referenceMemsys, opt.referenceModels, opt.directGeneration = true, true, true
-	reference = runSnapshot(ws, opt)
-	return optimized, reference
-}
-
-// TestEquivalenceSingleThread is the tentpole's differential acceptance
-// test: for one workload of every category on the paper's single-thread
-// machine, the open-addressed in-flight table and the O(1) MSHR ring produce
-// a bit-identical Result — every field, every stats counter — versus the
-// structures they replaced.
-func TestEquivalenceSingleThread(t *testing.T) {
-	for _, cat := range trace.Categories {
-		ws := trace.ByCategory(cat)
-		if len(ws) == 0 {
-			t.Fatalf("category %s has no workloads", cat)
-		}
-		w := ws[0]
-		for _, pf := range []PF{PFDSPatchSPP, PFESPP} {
-			opt := DefaultST()
-			opt.Refs = 6_000
-			opt.L2 = pf
-			got, want := runBoth([]trace.Workload{w}, opt)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s/%s: optimized result differs from reference\noptimized: %+v\nreference: %+v",
-					cat, w.Name, pf, got, want)
-			}
-		}
-	}
-}
-
-// TestEquivalenceMultiProgrammed repeats the differential check on the
-// 4-core DefaultMP machine, where ports contend for the shared LLC and DRAM.
-func TestEquivalenceMultiProgrammed(t *testing.T) {
-	mix1 := []trace.Workload{
-		trace.ByCategory(trace.Client)[0],
-		trace.ByCategory(trace.HPC)[0],
-		trace.ByCategory(trace.ISPEC06)[0],
-		trace.ByCategory(trace.Cloud)[0],
-	}
-	mix2 := []trace.Workload{
-		trace.ByCategory(trace.Server)[0],
-		trace.ByCategory(trace.FSPEC06)[0],
-		trace.ByCategory(trace.FSPEC17)[0],
-		trace.ByCategory(trace.SYSmark)[0],
-	}
-	for i, mix := range [][]trace.Workload{mix1, mix2} {
-		for _, pf := range []PF{PFDSPatchSPP, PFSPP} {
-			opt := DefaultMP()
-			opt.Refs = 4_000
-			opt.L2 = pf
-			got, want := runBoth(mix, opt)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("mix%d/%s: optimized MP result differs from reference\noptimized: %+v\nreference: %+v",
-					i+1, pf, got, want)
-			}
-		}
-	}
-}
-
-// TestEquivalenceModelRoster extends the differential check to every
-// prefetcher model whose lookup structures this PR rewrote — SMS's AT/FT
-// indexes, AMPM's map index, BOP, and the triple composite — on workloads
-// picked to stress each model's structures (footprint-heavy, streaming,
-// pointer-chasing).
-func TestEquivalenceModelRoster(t *testing.T) {
-	names := []string{"tpcc", "linpack", "mcf"}
-	for _, name := range names {
-		w, ok := trace.ByName(name)
-		if !ok {
-			t.Fatalf("roster is missing %s", name)
-		}
-		for _, pf := range []PF{PFSMS, PFAMPM, PFBOP, PFSMS256SPP, PFTriple} {
-			opt := DefaultST()
-			opt.Refs = 6_000
-			opt.L2 = pf
-			got, want := runBoth([]trace.Workload{w}, opt)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: optimized result differs from reference\noptimized: %+v\nreference: %+v",
-					name, pf, got, want)
-			}
-		}
-	}
-}
-
 // batchRoster builds a deterministic pseudo-random roster of heterogeneous
 // configurations sharing one trace identity (refs, seed): mixed prefetchers,
-// LLC sizes, DRAM geometries, with the L1 stride toggle and pollution
-// tracking sprinkled in. The rand seed is fixed so failures reproduce.
+// LLC sizes, DRAM geometries, with the L1 stride toggle, pollution tracking
+// and telemetry collection sprinkled in, so one lockstep batch mixes
+// stats-on and stats-off members. The rand seed is fixed so failures
+// reproduce.
 func batchRoster(rng *rand.Rand, base Options, k int) []Options {
 	pfs := []PF{PFNone, PFBOP, PFSMS, PFSPP, PFAMPM, PFDSPatch, PFDSPatchSPP, PFSMS256SPP, PFTriple}
 	llcs := []int{1 << 20, 2 << 20, 4 << 20}
@@ -183,6 +96,7 @@ func batchRoster(rng *rand.Rand, base Options, k int) []Options {
 		o.DRAM = drams[rng.Intn(len(drams))]
 		o.NoL1Stride = rng.Intn(4) == 0
 		o.TrackPollution = rng.Intn(4) == 0
+		o.CollectStats = rng.Intn(2) == 0
 		opts[i] = o
 	}
 	return opts
@@ -204,8 +118,8 @@ func assertBatchMatchesSerial(t *testing.T, label string, ws []trace.Workload, o
 		got := snapshot(batch[i])
 		want := runSnapshot(ws, o)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: config %d (%s, llc=%d, dram=%+v, noL1=%v, poll=%v): batch result differs from serial\nbatch:  %+v\nserial: %+v",
-				label, i, o.L2, o.LLCBytes, o.DRAM, o.NoL1Stride, o.TrackPollution, got, want)
+			t.Errorf("%s: config %d (%s, llc=%d, dram=%+v, noL1=%v, poll=%v, stats=%v): batch result differs from serial\nbatch:  %+v\nserial: %+v",
+				label, i, o.L2, o.LLCBytes, o.DRAM, o.NoL1Stride, o.TrackPollution, o.CollectStats, got, want)
 		}
 	}
 }
@@ -301,21 +215,6 @@ func TestRunBatchCtxCanceled(t *testing.T) {
 	for i, r := range res {
 		if len(r.IPC) != len(mix) {
 			t.Errorf("result %d: %d IPC slots, want %d", i, len(r.IPC), len(mix))
-		}
-	}
-}
-
-// TestEquivalenceBaseline covers the no-L2-prefetcher path (stride L1 only),
-// which every figure's baseline runs through.
-func TestEquivalenceBaseline(t *testing.T) {
-	for _, cat := range trace.Categories {
-		w := trace.ByCategory(cat)[0]
-		opt := DefaultST()
-		opt.Refs = 6_000
-		opt.L2 = PFNone
-		got, want := runBoth([]trace.Workload{w}, opt)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s/%s: optimized baseline differs from reference", cat, w.Name)
 		}
 	}
 }

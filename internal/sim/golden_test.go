@@ -208,18 +208,11 @@ func pinResult(t *testing.T, key string, r Result) goldenCase {
 }
 
 // runGolden simulates every corpus case, one RunBatch per trace identity.
-// tweak, when non-nil, adjusts each case's Options before it runs.
-func runGolden(t *testing.T, tweak func(*Options)) map[string]goldenCase {
+func runGolden(t *testing.T) map[string]goldenCase {
 	t.Helper()
 	got := map[string]goldenCase{}
 	for _, g := range goldenGroups(t) {
-		opts := append([]Options(nil), g.opts...)
-		if tweak != nil {
-			for i := range opts {
-				tweak(&opts[i])
-			}
-		}
-		for i, r := range RunBatch(g.ws, opts) {
+		for i, r := range RunBatch(g.ws, g.opts) {
 			got[g.keys[i]] = pinResult(t, g.keys[i], r)
 		}
 	}
@@ -305,24 +298,10 @@ func checkGolden(t *testing.T, got map[string]goldenCase) {
 }
 
 func TestGoldenResults(t *testing.T) {
-	got := runGolden(t, nil)
+	got := runGolden(t)
 	if *updateGolden {
 		writeGolden(t, got)
 		return
 	}
 	checkGolden(t, got)
-}
-
-// TestGoldenResultsReference proves the corpus against the pre-optimization
-// structures: with every Reference switch on (map-based in-flight tracking,
-// linear MSHR and model scans, per-probe SPP divisions, scan-the-ways tag
-// stores, fresh generators instead of replay), every case must reproduce
-// the committed corpus bit for bit.
-func TestGoldenResultsReference(t *testing.T) {
-	if *updateGolden {
-		t.Skip("the corpus is written from the optimized structures")
-	}
-	checkGolden(t, runGolden(t, func(o *Options) {
-		o.referenceMemsys, o.referenceModels, o.directGeneration = true, true, true
-	}))
 }

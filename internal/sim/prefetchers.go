@@ -75,20 +75,13 @@ func factory(opt Options) func() prefetch.Prefetcher {
 	if opt.L2 == PFNone || opt.L2 == "" {
 		return nil
 	}
-	// ref propagates the differential-test switch: every model built for
-	// this run uses either its optimized lookup structures or the
-	// pre-optimization reference bookkeeping they were proven against.
-	ref := opt.referenceModels
 	mkCore := func(cfg core.Config) func() prefetch.Prefetcher {
-		cfg.Reference = ref
 		return func() prefetch.Prefetcher { return core.New(cfg) }
 	}
 	mkSPP := func(cfg spp.Config) func() prefetch.Prefetcher {
-		cfg.Reference = ref
 		return func() prefetch.Prefetcher { return spp.New(cfg) }
 	}
 	mkSMS := func(cfg sms.Config) func() prefetch.Prefetcher {
-		cfg.Reference = ref
 		return func() prefetch.Prefetcher { return sms.New(cfg) }
 	}
 	mk := func(kind PF) func() prefetch.Prefetcher {
@@ -108,9 +101,7 @@ func factory(opt Options) func() prefetch.Prefetcher {
 		case PFESPP:
 			return mkSPP(spp.EnhancedConfig())
 		case PFAMPM:
-			cfg := ampm.DefaultConfig()
-			cfg.Reference = ref
-			return func() prefetch.Prefetcher { return ampm.New(cfg) }
+			return func() prefetch.Prefetcher { return ampm.New(ampm.DefaultConfig()) }
 		case PFStreamer:
 			return func() prefetch.Prefetcher { return prefetch.NewStream(prefetch.DefaultStreamConfig()) }
 		case PFDSPatch:

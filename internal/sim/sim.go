@@ -38,28 +38,17 @@ type Options struct {
 	// flag only controls whether the end-of-run snapshot is taken; it can
 	// never change a simulation's outcome.
 	CollectStats bool
-
-	// referenceMemsys selects the pre-optimization memory-system bookkeeping
-	// (map-based in-flight tracking, linear MSHR scans). Unexported: only the
-	// differential equivalence tests set it, to prove the optimized
-	// structures bit-identical.
-	referenceMemsys bool
-	// referenceModels selects the pre-optimization prefetcher-model lookups
-	// (linear DSPatch PB / SMS AT+FT / AMPM map scans, per-probe SPP
-	// divisions). Equivalence tests set it to prove the indexed fast paths
-	// bit-identical.
-	referenceModels bool
-	// directGeneration bypasses the process-shared materialized-trace store
-	// and drives each lane from a fresh generator, the pre-replay behaviour.
-	// Equivalence tests set it to prove record/replay bit-identical.
-	directGeneration bool
 }
 
 // ResultVersion stamps persisted results of Run. Bump it on ANY change that
 // can alter a simulation's outcome — workload generators, prefetcher
 // algorithms, timing models, Result fields — so persistent caches keyed on
 // simulation inputs (experiments' -cache-dir) discard entries computed by
-// older behaviour instead of serving them as current.
+// older behaviour instead of serving them as current. The golden corpus
+// (testdata/golden_results.json) records the version it was generated at and
+// pins every Result: a deliberate behaviour change bumps ResultVersion and
+// regenerates the corpus in the same change, so the corpus diff shows what
+// moved; an optimization must leave both untouched.
 //
 // Version 2: multi-programmed lane seeds are derived by LaneSeed's bit mixer
 // instead of the old linear Seed + lane*104729 stride, so lanes > 0 of every
@@ -264,13 +253,11 @@ type machine struct {
 
 // newMachine wires one simulator for ws under opt. When ownCursors is false
 // the lanes are built without replay cursors: the caller feeds refs directly
-// through apply, sharing one cursor across machines. directGeneration always
-// builds per-lane generators regardless.
+// through apply, sharing one cursor across machines.
 func newMachine(ws []trace.Workload, opt Options, ownCursors bool) *machine {
 	n := len(ws)
 	d := dram.New(opt.DRAM)
 	cfg := memsys.DefaultConfig(opt.LLCBytes)
-	cfg.Reference = opt.referenceMemsys
 
 	var l1f func() prefetch.Prefetcher
 	if !opt.NoL1Stride {
@@ -286,17 +273,13 @@ func newMachine(ws []trace.Workload, opt Options, ownCursors bool) *machine {
 	m.lanes = make([]*simLane, n)
 	for i := 0; i < n; i++ {
 		ad := &memAdapter{port: sys.Port(i)}
-		laneSeed := LaneSeed(opt.Seed, i)
 		var gen trace.Generator
-		switch {
-		case opt.directGeneration:
-			gen = ws[i].Build(laneSeed)
-		case ownCursors:
+		if ownCursors {
 			// Every run of the same (workload, seed) replays one process-wide
 			// materialized stream: the generator executes once, and every
 			// prefetcher configuration and worker goroutine reads the same
 			// immutable columns.
-			gen = trace.Replay(ws[i], laneSeed, opt.Refs)
+			gen = trace.Replay(ws[i], LaneSeed(opt.Seed, i), opt.Refs)
 		}
 		m.lanes[i] = &simLane{
 			core: cpu.New(cpu.DefaultConfig()),

@@ -44,9 +44,8 @@ func coreMetricsEqual(a, b Result) bool {
 
 // TestCollectStatsDifferential is the observer-effect guard: turning
 // CollectStats on must change nothing but the Prefetchers section — every
-// core metric stays bit-identical, in the optimized configuration, the
-// Reference (pre-optimization) one, and a multi-lane mix. The models'
-// counters are always on; the flag only snapshots them, so any divergence
+// core metric stays bit-identical, on the single-thread machine and on a
+// multi-lane mix. The models' counters are always on; the flag only snapshots them, so any divergence
 // here means collection leaked into simulation behaviour.
 func TestCollectStatsDifferential(t *testing.T) {
 	tpcc, ok := trace.ByName("tpcc")
@@ -62,11 +61,6 @@ func TestCollectStatsDifferential(t *testing.T) {
 	st.Refs = 3_000
 	st.L2 = PFDSPatchSPP
 
-	ref := st
-	ref.referenceMemsys = true
-	ref.referenceModels = true
-	ref.directGeneration = true
-
 	mp := DefaultMP()
 	mp.Refs = 2_000
 	mp.L2 = PFDSPatch
@@ -77,7 +71,6 @@ func TestCollectStatsDifferential(t *testing.T) {
 		opt  Options
 	}{
 		{"optimized", []trace.Workload{tpcc}, st},
-		{"reference", []trace.Workload{tpcc}, ref},
 		{"multilane", []trace.Workload{tpcc, mcf}, mp},
 	}
 	for _, tc := range cases {

@@ -25,12 +25,6 @@ type Config struct {
 	FTEntries  int // filter table (regions with 1 access)
 	PHTEntries int // pattern history table total entries
 	PHTWays    int
-
-	// Reference selects the pre-optimization per-train bookkeeping: linear
-	// scans of the accumulation and filter tables instead of the hashed
-	// region indexes. It exists so the differential equivalence tests can
-	// prove the indexed fast path bit-identical; simulations never set it.
-	Reference bool
 }
 
 // DefaultConfig returns the paper's full-size SMS (88KB-class).
@@ -88,8 +82,7 @@ type SMS struct {
 
 	// atIdx and ftIdx map live region numbers to their table slots, so the
 	// per-train lookups probe O(1) instead of scanning the fully associative
-	// tables. Maintained on every AT/FT mutation; the Reference mode scans
-	// the tables directly and must agree.
+	// tables. Maintained on every AT/FT mutation.
 	atIdx *idx.Table
 	ftIdx *idx.Table
 
@@ -168,14 +161,6 @@ func (s *SMS) Train(a prefetch.Access, _ prefetch.Context, dst []prefetch.Reques
 }
 
 func (s *SMS) lookupAT(reg region) *atEntry {
-	if s.cfg.Reference {
-		for i := range s.at {
-			if s.at[i].valid && s.at[i].reg == reg {
-				return &s.at[i]
-			}
-		}
-		return nil
-	}
 	if i, ok := s.atIdx.Get(uint64(reg)); ok {
 		return &s.at[i]
 	}
@@ -183,14 +168,6 @@ func (s *SMS) lookupAT(reg region) *atEntry {
 }
 
 func (s *SMS) lookupFT(reg region) *ftEntry {
-	if s.cfg.Reference {
-		for i := range s.ft {
-			if s.ft[i].valid && s.ft[i].reg == reg {
-				return &s.ft[i]
-			}
-		}
-		return nil
-	}
 	if i, ok := s.ftIdx.Get(uint64(reg)); ok {
 		return &s.ft[i]
 	}

@@ -34,12 +34,6 @@ type Config struct {
 
 	MaxLookahead int // recursion depth bound
 	FilterSize   int // prefetch filter entries (power of two)
-
-	// Reference selects the pre-optimization arithmetic: per-probe integer
-	// divisions for delta confidence instead of the precomputed quotient
-	// table. It exists so the differential equivalence tests can prove the
-	// table path bit-identical; simulations never set it.
-	Reference bool
 }
 
 // DefaultConfig returns the paper's SPP configuration.
@@ -278,7 +272,6 @@ func (s *SPP) lookahead(page memaddr.Page, off int, sig uint16, pathPct int, ctx
 	thr := s.threshold(ctx)
 	alpha := s.accuracyPct()
 	thr100 := 100 * thr
-	ref := s.cfg.Reference
 	curOff, curSig, p := off, sig, pathPct
 	for depth := 0; depth < s.cfg.MaxLookahead && p >= thr; depth++ {
 		pe := &s.pt[uint64(curSig)&s.ptMask]
@@ -290,12 +283,7 @@ func (s *SPP) lookahead(page memaddr.Page, off int, sig uint16, pathPct int, ctx
 			if pe.cDelta[i] == 0 {
 				continue
 			}
-			var conf int
-			if ref {
-				conf = 100 * pe.cDelta[i] / pe.cSig
-			} else {
-				conf = int(s.confTab[pe.cSig*s.confSpan+pe.cDelta[i]])
-			}
+			conf := int(s.confTab[pe.cSig*s.confSpan+pe.cDelta[i]])
 			// p*conf/100 >= thr without the division: all terms nonnegative,
 			// so the floored quotient clears thr exactly when p*conf clears
 			// 100*thr.

@@ -241,3 +241,23 @@ func TestNames(t *testing.T) {
 		t.Error("wrong name for eSPP")
 	}
 }
+
+// TestConfidenceTableExact checks the precomputed delta-confidence table the
+// lookahead reads instead of dividing: for every reachable counter pair —
+// cSig in [1, CounterMax], cDelta in [0, cSig] — the entry must equal the
+// integer quotient 100*cDelta/cSig exactly.
+func TestConfidenceTableExact(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), EnhancedConfig()} {
+		s := New(cfg)
+		if s.confSpan != cfg.CounterMax+1 {
+			t.Fatalf("confSpan = %d, want CounterMax+1 = %d", s.confSpan, cfg.CounterMax+1)
+		}
+		for cSig := 1; cSig <= cfg.CounterMax; cSig++ {
+			for cDelta := 0; cDelta <= cSig; cDelta++ {
+				if got, want := int(s.confTab[cSig*s.confSpan+cDelta]), 100*cDelta/cSig; got != want {
+					t.Errorf("%s: confTab[%d,%d] = %d, want %d", s.Name(), cSig, cDelta, got, want)
+				}
+			}
+		}
+	}
+}
