@@ -283,7 +283,7 @@ func (d *DSPatch) Train(a prefetch.Access, ctx prefetch.Context, dst []prefetch.
 	return d.predict(page, e.triggers[seg], seg, ctx, dst)
 }
 
-// lookupPB returns the PB slot tracking page, or -1. The optimized path
+// lookupPB returns the PB slot tracking page, or -1. The lookup
 // first checks the most recently touched slot — spatial streams deliver
 // several consecutive trains to one page — and falls back to the hashed
 // index.

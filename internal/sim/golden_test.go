@@ -75,7 +75,7 @@ func (g *goldenGroup) add(key string, o Options) {
 }
 
 // goldenGroups lists every corpus case, grouped by trace identity.
-func goldenGroups(t *testing.T) []goldenGroup {
+func goldenGroups() []goldenGroup {
 	var sts []trace.Workload
 	seen := map[string]bool{}
 	addST := func(w trace.Workload) {
@@ -88,11 +88,7 @@ func goldenGroups(t *testing.T) []goldenGroup {
 		addST(trace.ByCategory(cat)[0])
 	}
 	for _, name := range []string{"tpcc", "linpack", "mcf"} {
-		w, ok := trace.ByName(name)
-		if !ok {
-			t.Fatalf("roster is missing %s", name)
-		}
-		addST(w)
+		addST(wl(name))
 	}
 
 	var groups []goldenGroup
@@ -211,7 +207,7 @@ func pinResult(t *testing.T, key string, r Result) goldenCase {
 func runGolden(t *testing.T) map[string]goldenCase {
 	t.Helper()
 	got := map[string]goldenCase{}
-	for _, g := range goldenGroups(t) {
+	for _, g := range goldenGroups() {
 		for i, r := range RunBatch(g.ws, g.opts) {
 			got[g.keys[i]] = pinResult(t, g.keys[i], r)
 		}
