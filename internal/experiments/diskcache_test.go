@@ -64,7 +64,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := JobKey(job)
+	key := JobID(job).String()
 	res, ok := decodeEntry(data, key)
 	if !ok {
 		t.Fatal("stored entry does not decode")
@@ -103,7 +103,7 @@ func TestDiskCacheCorruptFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := decodeEntry(data, JobKey(job)); !ok || !reflect.DeepEqual(got, fresh) {
+	if got, ok := decodeEntry(data, JobID(job).String()); !ok || !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("entry not rewritten after corruption: ok=%t", ok)
 	}
 }
@@ -119,7 +119,7 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 	fresh := r1.RunAll([]Job{job}, 1)[0]
 
 	path := entryFile(t, dir)
-	key := JobKey(job)
+	key := JobID(job).String()
 	stale := fresh
 	stale.Cycles += 99 // would be visible if the stale entry were served
 	os.WriteFile(path, stampEntry(encodeEntry(key, stale), sim.ResultVersion+1), 0o644)
@@ -295,18 +295,18 @@ func TestDiskCacheUnwritableDegradesGracefully(t *testing.T) {
 }
 
 // TestDirStoreAndJobKey covers the pluggable store seam the fleet layer
-// builds on: JobKey is stable and separates pollution tracking, DirStore
+// builds on: the run key is stable and separates pollution tracking, DirStore
 // round-trips results under it byte-compatibly with the engine's own cache
 // files, and torn PutRaw entries read back as misses.
 func TestDirStoreAndJobKey(t *testing.T) {
 	job := cacheTestJob(t)
-	key := JobKey(job)
-	if key == "" || JobKey(job) != key {
-		t.Fatalf("JobKey(%+v) = %q, not stable", job, key)
+	key := JobID(job).String()
+	if key == "" || JobID(job).String() != key {
+		t.Fatalf("JobID(%+v).String() = %q, not stable", job, key)
 	}
 	polluted := job
 	polluted.Opt.TrackPollution = true
-	if JobKey(polluted) == key {
+	if JobID(polluted).String() == key {
 		t.Fatal("pollution tracking on and off must not share a key")
 	}
 
@@ -358,12 +358,12 @@ func TestDirStoreAndJobKey(t *testing.T) {
 // unchanged.
 func TestKeyStringPinned(t *testing.T) {
 	builtin := cacheTestJob(t)
-	if got, want := JobKey(builtin), `names="linpack" dram=1ch-DDR4-2133 llc=2097152 refs=3000 seed=1 l2=dspatch+spp nol1=false smspht=0 stats=false`; got != want {
+	if got, want := JobID(builtin).String(), `names="linpack" dram=1ch-DDR4-2133 llc=2097152 refs=3000 seed=1 l2=dspatch+spp nol1=false smspht=0 stats=false`; got != want {
 		t.Errorf("builtin key:\n got %s\nwant %s", got, want)
 	}
 	polluted := builtin
 	polluted.Opt.TrackPollution = true
-	if got, want := JobKey(polluted), JobKey(builtin)+" pollution=true"; got != want {
+	if got, want := JobID(polluted).String(), JobID(builtin).String()+" pollution=true"; got != want {
 		t.Errorf("pollution key:\n got %s\nwant %s", got, want)
 	}
 
@@ -380,7 +380,7 @@ func TestKeyStringPinned(t *testing.T) {
 	opt.L2 = sim.PFSPP
 	opt.CollectStats = true
 	scenario := Job{Workloads: []trace.Workload{w, builtin.Workloads[0]}, Opt: opt}
-	if got, want := JobKey(scenario), `names="key-pin-chase\x01spec-dd3b9a8b61322f57\x00linpack" dram=2ch-DDR4-2133 llc=8388608 refs=5000 seed=3 l2=spp nol1=false smspht=0 stats=true`; got != want {
+	if got, want := JobID(scenario).String(), `names="key-pin-chase\x01spec-dd3b9a8b61322f57\x00linpack" dram=2ch-DDR4-2133 llc=8388608 refs=5000 seed=3 l2=spp nol1=false smspht=0 stats=true`; got != want {
 		t.Errorf("scenario key:\n got %s\nwant %s", got, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,17 +55,21 @@ type runKey struct {
 // memoizable returns j's cache key. Every run is memoizable: a Result is
 // plain data, and the key covers every option that shapes it.
 func memoizable(j Job) runKey {
-	names := make([]string, len(j.Workloads))
+	var names string // lane names joined by NUL: a lone builtin lane is its name, with no allocation
 	for i, w := range j.Workloads {
-		names[i] = w.Name
+		name := w.Name
 		// Non-builtin workloads fold their content fingerprint into the key:
 		// an imported trace or registered spec is cached by what it contains,
 		// so renaming identical content still hits and editing a spec misses.
 		// Builtin fingerprints are empty, keeping historical cache entries
 		// valid.
 		if w.Fingerprint != "" {
-			names[i] = w.Name + "\x01" + w.Fingerprint
+			name += "\x01" + w.Fingerprint
 		}
+		if i > 0 {
+			name = names + "\x00" + name
+		}
+		names = name
 	}
 	l2 := j.Opt.L2
 	if l2 == "" {
@@ -77,7 +80,7 @@ func memoizable(j Job) runKey {
 		smsPHT = j.Opt.SMSPHTEntries
 	}
 	return runKey{
-		names:          strings.Join(names, "\x00"),
+		names:          names,
 		dram:           j.Opt.DRAM,
 		llcBytes:       j.Opt.LLCBytes,
 		refs:           j.Opt.Refs,
@@ -301,18 +304,10 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 		workers = len(tasks)
 	}
 	results := make([]sim.Result, len(jobs))
-	var errMu sync.Mutex
-	var firstErr error
-	noteErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
+	var errs firstError
 	if workers <= 1 {
 		for _, t := range tasks {
-			r.runGroup(ctx, jobs, keys, t, results, noteErr)
+			r.runGroup(ctx, jobs, keys, t, results, &errs)
 		}
 	} else {
 		var next atomic.Int64
@@ -326,22 +321,35 @@ func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.
 					if i >= len(tasks) {
 						return
 					}
-					r.runGroup(ctx, jobs, keys, tasks[i], results, noteErr)
+					r.runGroup(ctx, jobs, keys, tasks[i], results, &errs)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	return results, firstErr
+	return results, errs.err
+}
+
+// firstError keeps the first error the workers of one call report.
+type firstError struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (f *firstError) note(err error) {
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
+	}
+	f.mu.Unlock()
 }
 
 // member is one job of a group together with its memo entry.
 type member struct {
-	idx int
-	key runKey
+	idx int // into the call's jobs and keys
 	e   *memoEntry
-	// skey is key rendered as the store key, once per run, so a miss's Get
-	// and Put share it; empty when no store is configured.
+	// skey is the job's key rendered as the store key, once per run, so a
+	// miss's Get and Put share it; empty when no store is configured.
 	skey string
 }
 
@@ -355,22 +363,24 @@ type member struct {
 // A panicking simulation re-raises for the owner and every waiter alike
 // (dspatchd's execute recovers it into a failed job); the entry is dropped,
 // so a resubmission re-simulates instead of reading a poisoned memo.
-func (r *Runner) runGroup(ctx context.Context, jobs []Job, keys []runKey, idxs []int, results []sim.Result, noteErr func(error)) {
+func (r *Runner) runGroup(ctx context.Context, jobs []Job, keys []runKey, idxs []int, results []sim.Result, errs *firstError) {
 	for len(idxs) > 0 {
-		var owned, awaited []member
+		// Every member is usually owned: size that slice once per round.
+		owned := make([]member, 0, len(idxs))
+		var awaited []member
 		var st ResultStore
 		for _, i := range idxs {
 			e, owner, s := r.acquire(keys[i])
 			st = s
-			if mb := (member{idx: i, key: keys[i], e: e}); owner {
+			if mb := (member{idx: i, e: e}); owner {
 				owned = append(owned, mb)
 			} else {
 				awaited = append(awaited, mb)
 			}
 		}
 		if len(owned) > 0 {
-			if err := r.fill(ctx, st, jobs, owned, results); err != nil {
-				noteErr(err)
+			if err := r.fill(ctx, st, jobs, keys, owned, results); err != nil {
+				errs.note(err)
 			}
 		}
 		var retry []int
@@ -381,13 +391,13 @@ func (r *Runner) runGroup(ctx context.Context, jobs []Job, keys []runKey, idxs [
 				results[mb.idx] = mb.e.res
 				continue
 			}
-			r.dropEntry(mb.key, mb.e)
+			r.dropEntry(keys[mb.idx], mb.e)
 			if mb.e.panicked != nil {
 				panic(mb.e.panicked)
 			}
 			if err := ctx.Err(); err != nil {
 				results[mb.idx] = canceledResult(jobs[mb.idx])
-				noteErr(err)
+				errs.note(err)
 				continue
 			}
 			retry = append(retry, mb.idx)
@@ -402,11 +412,11 @@ func (r *Runner) runGroup(ctx context.Context, jobs []Job, keys []runKey, idxs [
 // batch records the error into every simulated entry and drops them all —
 // siblings are never poisoned with a partial result — and a panic is
 // recorded into each before re-raising, so no waiter hangs on an open entry.
-func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, owned []member, results []sim.Result) error {
+func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, keys []runKey, owned []member, results []sim.Result) error {
 	cold := owned[:0]
 	for _, mb := range owned {
 		if st != nil {
-			mb.skey = mb.key.keyString()
+			mb.skey = keys[mb.idx].keyString()
 			if res, ok := st.Get(mb.skey); ok {
 				r.diskHits.Add(1)
 				mb.e.res, mb.e.in = res, st
@@ -432,7 +442,7 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, owned []m
 				mb.e.panicked = p
 				mb.e.err = fmt.Errorf("simulation panicked: %v", p)
 				close(mb.e.done)
-				r.dropEntry(mb.key, mb.e)
+				r.dropEntry(keys[mb.idx], mb.e)
 			}
 			panic(p)
 		}
@@ -442,7 +452,7 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, owned []m
 		for _, mb := range cold {
 			mb.e.err = err
 			close(mb.e.done)
-			r.dropEntry(mb.key, mb.e)
+			r.dropEntry(keys[mb.idx], mb.e)
 			results[mb.idx] = canceledResult(jobs[mb.idx])
 		}
 		return err

@@ -13,10 +13,10 @@ import (
 )
 
 // ResultStore is a shared result store keyed by the canonical run key
-// (JobKey): any backend that can GET/PUT a simulation result under a string
-// key can serve as the persistent cache behind the engine — and as the
-// shared result store of a coordinator/worker fleet, where workers and the
-// coordinator exchange completed runs through it. Implementations must
+// (RunID.String): any backend that can GET/PUT a simulation result under a
+// string key can serve as the persistent cache behind the engine — and as
+// the shared result store of a coordinator/worker fleet, where workers and
+// the coordinator exchange completed runs through it. Implementations must
 // treat a corrupt or torn entry as a miss, never an error: the store is an
 // accelerator, and a fleet must survive a half-written entry by
 // re-simulating.
@@ -30,12 +30,6 @@ type ResultStore interface {
 	Put(key string, res sim.Result) error
 }
 
-// JobKey returns the canonical cache key of a job — the string the disk
-// cache hashes into a content address. Two jobs with equal keys are the same
-// simulation: fleet coordinators shard and deduplicate dispatches by this
-// key.
-func JobKey(j Job) string { return JobID(j).String() }
-
 // RunID is a job's canonical identity as a comparable value, for
 // deduplicating runs without rendering their string keys: two jobs with
 // equal RunIDs are the same simulation.
@@ -44,7 +38,9 @@ type RunID struct{ k runKey }
 // JobID returns j's RunID.
 func JobID(j Job) RunID { return RunID{memoizable(j)} }
 
-// String is the canonical run key JobKey returns.
+// String is the canonical run key: the string the disk cache hashes into a
+// content address. Two jobs with equal keys are the same simulation, so
+// fleet coordinators shard and deduplicate dispatches by it.
 func (id RunID) String() string { return id.k.keyString() }
 
 // DirStore is the one ResultStore backend: a directory of content-addressed
@@ -77,10 +73,17 @@ func NewDirStore(dir string) (*DirStore, error) {
 // Dir returns the store's root directory.
 func (s *DirStore) Dir() string { return s.dir }
 
-// PathOf returns the content address of key under the store root.
+// PathOf returns the content address of key under the store root: the
+// first 16 bytes of the key's SHA-256 in hex, plus entryExt. The key is
+// hashed from a stack copy and the name is encoded into a fixed array, so
+// the path is the only string it allocates.
 func (s *DirStore) PathOf(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.dir, hex.EncodeToString(sum[:16])+entryExt)
+	var buf [256]byte
+	sum := sha256.Sum256(append(buf[:0], key...))
+	var name [2*16 + len(entryExt)]byte
+	hex.Encode(name[:], sum[:16])
+	copy(name[2*16:], entryExt)
+	return s.dir + string(filepath.Separator) + string(name[:])
 }
 
 // entryBufs pools Get's read buffers: an entry is decoded in place and

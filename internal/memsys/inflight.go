@@ -7,7 +7,7 @@ import (
 )
 
 // inflightTable tracks outstanding DRAM fetches per port. It replaces the
-// map[memaddr.Line]flight the port used before: a fixed-capacity
+// map from line to ready cycle the port used before: a fixed-capacity
 // open-addressed hash table with linear probing, so the per-access lookup on
 // the L1-hit path costs one multiply and (almost always) one word read
 // instead of a runtime map operation, and no allocation ever happens after
@@ -26,15 +26,15 @@ import (
 // it holds the table to the map's results.
 //
 // Layout is struct-of-arrays: probes walk a dense array of line keys (an
-// impossible sentinel marks empty slots), and the ready cycle — with the
-// prefetch flag folded into its low bit — lives in a sibling array read only
-// on a key match. Because removal only ever happens through the full
-// rebuild, no tombstones are needed and probe chains stay intact between
-// compactions. The initial capacity is twice the prune threshold, covering
-// the prune-bounded steady state; a phase that legitimately outruns the
-// prune (the prune fires only on demand DRAM misses, so a long streak of
-// fully-covered prefetch traffic can pile up stale records) grows the table
-// instead of degrading — matching the map, which simply grew too.
+// impossible sentinel marks empty slots), and the ready cycle lives in a
+// sibling array read only on a key match. Because removal only ever happens
+// through the full rebuild, no tombstones are needed and probe chains stay
+// intact between compactions. The initial capacity is twice the prune
+// threshold, covering the prune-bounded steady state; a phase that
+// legitimately outruns the prune (the prune fires only on demand DRAM
+// misses, so a long streak of fully-covered prefetch traffic can pile up
+// stale records) grows the table instead of degrading — matching the map,
+// which simply grew too.
 const (
 	inflightSlots = 8192                       // initial capacity; power of two
 	inflightPrune = 4096                       // prune threshold, as the map had
@@ -48,7 +48,7 @@ const inflightNoLine = ^memaddr.Line(0)
 // inflightTable is the per-port table. The zero value is unusable; call init.
 type inflightTable struct {
 	lines    []memaddr.Line // keys; inflightNoLine = empty
-	rp       []uint64       // ready<<1 | prefetch
+	ready    []uint64       // ready cycle of each key's fetch
 	mask     int            // len(lines)-1
 	shift    uint           // hash -> slot index: 64 - log2(len(lines))
 	occupied int
@@ -68,7 +68,7 @@ func (t *inflightTable) alloc(n int) {
 	for i := range t.lines {
 		t.lines[i] = inflightNoLine
 	}
-	t.rp = make([]uint64, n)
+	t.ready = make([]uint64, n)
 	t.mask = n - 1
 	t.shift = 64 - uint(bits.Len64(uint64(n-1)))
 	t.occupied = 0
@@ -78,32 +78,27 @@ func (t *inflightTable) hash(line memaddr.Line) int {
 	return int(uint64(line) * inflightHashK >> t.shift)
 }
 
-// lookup returns the entry stored for line, completed or not — callers
-// compare ready against their own deadline exactly as they did with the map.
-func (t *inflightTable) lookup(line memaddr.Line) (flight, bool) {
+// lookup returns the ready cycle stored for line, completed or not — callers
+// compare it against their own deadline exactly as they did with the map.
+func (t *inflightTable) lookup(line memaddr.Line) (uint64, bool) {
 	for i := t.hash(line); ; i = (i + 1) & t.mask {
 		switch t.lines[i] {
 		case line:
-			rp := t.rp[i]
-			return flight{ready: rp >> 1, prefetch: rp&1 != 0}, true
+			return t.ready[i], true
 		case inflightNoLine:
-			return flight{}, false
+			return 0, false
 		}
 	}
 }
 
-// insert stores f for line, overwriting an existing entry for the same line
-// in place — a re-fetched line replaces its stale record instead of leaking
-// a second one.
-func (t *inflightTable) insert(line memaddr.Line, f flight) {
-	rp := f.ready << 1
-	if f.prefetch {
-		rp |= 1
-	}
+// insert stores line's ready cycle, overwriting an existing entry for the
+// same line in place — a re-fetched line replaces its stale record instead
+// of leaking a second one.
+func (t *inflightTable) insert(line memaddr.Line, ready uint64) {
 	for i := t.hash(line); ; i = (i + 1) & t.mask {
 		switch t.lines[i] {
 		case line:
-			t.rp[i] = rp
+			t.ready[i] = ready
 			return
 		case inflightNoLine:
 			t.occupied++
@@ -114,11 +109,11 @@ func (t *inflightTable) insert(line memaddr.Line, f flight) {
 				// into long probe chains; the next prune resets occupancy.
 				t.grow()
 				// Re-probe: the slot layout changed entirely.
-				t.insertGrown(line, rp)
+				t.insertGrown(line, ready)
 				return
 			}
 			t.lines[i] = line
-			t.rp[i] = rp
+			t.ready[i] = ready
 			return
 		}
 	}
@@ -126,13 +121,13 @@ func (t *inflightTable) insert(line memaddr.Line, f flight) {
 
 // insertGrown finishes an insert after grow: the key is known absent and
 // free slots abound.
-func (t *inflightTable) insertGrown(line memaddr.Line, rp uint64) {
+func (t *inflightTable) insertGrown(line memaddr.Line, ready uint64) {
 	i := t.hash(line)
 	for t.lines[i] != inflightNoLine {
 		i = (i + 1) & t.mask
 	}
 	t.lines[i] = line
-	t.rp[i] = rp
+	t.ready[i] = ready
 	t.occupied++
 }
 
@@ -140,7 +135,7 @@ func (t *inflightTable) insertGrown(line memaddr.Line, rp uint64) {
 // staleness is time-relative and per-port cycles are not monotone, so grow
 // must preserve contents exactly).
 func (t *inflightTable) grow() {
-	oldLines, oldRP := t.lines, t.rp
+	oldLines, oldReady := t.lines, t.ready
 	t.alloc(2 * len(oldLines))
 	for k, l := range oldLines {
 		if l == inflightNoLine {
@@ -151,7 +146,7 @@ func (t *inflightTable) grow() {
 			i = (i + 1) & t.mask
 		}
 		t.lines[i] = l
-		t.rp[i] = oldRP[k]
+		t.ready[i] = oldReady[k]
 		t.occupied++
 	}
 }
@@ -167,9 +162,9 @@ func (t *inflightTable) prune(now uint64) {
 	t.scratchL = t.scratchL[:0]
 	t.scratchR = t.scratchR[:0]
 	for i, l := range t.lines {
-		if l != inflightNoLine && t.rp[i]>>1 > now {
+		if l != inflightNoLine && t.ready[i] > now {
 			t.scratchL = append(t.scratchL, l)
-			t.scratchR = append(t.scratchR, t.rp[i])
+			t.scratchR = append(t.scratchR, t.ready[i])
 		}
 		t.lines[i] = inflightNoLine
 	}
@@ -180,6 +175,6 @@ func (t *inflightTable) prune(now uint64) {
 			i = (i + 1) & t.mask
 		}
 		t.lines[i] = l
-		t.rp[i] = t.scratchR[k]
+		t.ready[i] = t.scratchR[k]
 	}
 }

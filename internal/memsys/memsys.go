@@ -53,12 +53,6 @@ func DefaultConfig(llcBytes int) Config {
 	}
 }
 
-// flight records an outstanding fetch from DRAM.
-type flight struct {
-	ready    uint64
-	prefetch bool
-}
-
 // CoverageStats is the per-core accounting behind Fig. 16.
 type CoverageStats struct {
 	L1Accesses uint64
@@ -285,11 +279,12 @@ func (p *Port) mergeWait(start, ready uint64) uint64 {
 	return ready
 }
 
-// inflightInsert records an outstanding fetch, overwriting any previous
-// record for the line in place, and counts the mutation for the drain skip.
-func (p *Port) inflightInsert(line memaddr.Line, f flight) {
+// inflightInsert records an outstanding fetch ready at cycle ready,
+// overwriting any previous record for the line in place, and counts the
+// mutation for the drain skip.
+func (p *Port) inflightInsert(line memaddr.Line, ready uint64) {
 	p.gen++
-	p.inflight.insert(line, f)
+	p.inflight.insert(line, ready)
 }
 
 // Access performs one demand load or store issued at cycle now and returns
@@ -312,8 +307,8 @@ func (p *Port) Access(now uint64, pc memaddr.PC, line memaddr.Line, write bool) 
 		done := now + p.sys.cfg.L1HitLat
 		// A hit on a line whose fetch is still in flight waits for the data
 		// (the tag is installed at issue; see issuePrefetches).
-		if f, ok := p.inflight.lookup(line); ok && f.ready > done {
-			done = p.mergeWait(now, f.ready)
+		if ready, ok := p.inflight.lookup(line); ok && ready > done {
+			done = p.mergeWait(now, ready)
 		}
 		if r1.FirstUseOfPrefetch {
 			p.prefUsefulL1++
@@ -359,8 +354,8 @@ func (p *Port) fetchDemand(now uint64, line memaddr.Line, write bool) uint64 {
 		// If the line is still in flight (tag filled at issue), the demand
 		// waits for the data. The entry stays until it expires so further
 		// demands in the window also wait.
-		if f, ok := p.inflight.lookup(line); ok && f.ready > done {
-			done = p.mergeWait(start, f.ready)
+		if ready, ok := p.inflight.lookup(line); ok && ready > done {
+			done = p.mergeWait(start, ready)
 		}
 		if r2.FirstUseOfPrefetch {
 			p.stats.Covered++
@@ -374,8 +369,8 @@ func (p *Port) fetchDemand(now uint64, line memaddr.Line, write bool) uint64 {
 	rL := p.sys.llc.Access(line, write)
 	if rL.Hit {
 		done := start + cfg.LLCHitLat
-		if f, ok := p.inflight.lookup(line); ok && f.ready > done {
-			done = p.mergeWait(start, f.ready)
+		if ready, ok := p.inflight.lookup(line); ok && ready > done {
+			done = p.mergeWait(start, ready)
 		}
 		if rL.FirstUseOfPrefetch {
 			p.stats.Covered++
@@ -406,7 +401,7 @@ func (p *Port) fetchDemand(now uint64, line memaddr.Line, write bool) uint64 {
 	// LLC fill's victim write-back can install this line meanwhile.
 	p.fillLLC(line, cache.FillOpts{Dirty: write, Absent: true}, 0)
 	p.fillL2(line, cache.FillOpts{Dirty: write, Absent: true})
-	p.inflightInsert(line, flight{ready: dramDone})
+	p.inflightInsert(line, dramDone)
 	p.inflight.prune(now)
 	p.l2mshr.patchLast(dramDone)
 	p.l1mshr.patchLast(dramDone)
@@ -451,7 +446,10 @@ func (p *Port) drainPrefetchQueue(now uint64) {
 	// queue displacing the blocked head (issuePrefetches bumps pqHead)
 	// invalidates the skip: the new head may well issue. The golden corpus
 	// (internal/sim/testdata/golden_results.json) was proven against a
-	// drain that never skipped, so it holds the skip to a pure no-op.
+	// drain that never skipped, so it holds the skip to a pure no-op. No
+	// corpus case needs the port's generation, but a same-cycle demand can
+	// move only that one: its L1 fill writes a dirty victim, the blocked
+	// head, back into the L2 (TestDrainSkipSeesSameCycleL2Fill).
 	if p.drainBlocked && now == p.drainBlockedNow && p.pqHead == p.drainBlockedHead &&
 		p.gen == p.drainGenPort && p.sys.gen == p.drainGenSys {
 		return
@@ -487,7 +485,7 @@ func (p *Port) drainPrefetchQueue(now uint64) {
 		// completed relative to this event can still be observably in flight
 		// for a later access at an earlier cycle; cleanup belongs to the
 		// deterministic prune on the demand path.
-		if f, ok := p.inflight.lookup(line); ok && f.ready > now {
+		if ready, ok := p.inflight.lookup(line); ok && ready > now {
 			p.pqHead++
 			continue
 		}
@@ -534,7 +532,7 @@ func (p *Port) drainPrefetchQueue(now uint64) {
 			p.gen++
 			p.l1.Fill(line, cache.FillOpts{Prefetch: true, Absent: true})
 		}
-		p.inflightInsert(line, flight{ready: done, prefetch: true})
+		p.inflightInsert(line, done)
 		p.pqHead++
 		issued++
 	}

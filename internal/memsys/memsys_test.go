@@ -249,3 +249,52 @@ func TestStatsHelpers(t *testing.T) {
 		t.Errorf("Accuracy = %v", s.Accuracy(30, 10))
 	}
 }
+
+// TestDrainSkipSeesSameCycleL2Fill checks the blocked-drain skip against a
+// drain that never skips. The queue's head is a line that is dirty in the
+// L1 only, and every L2 MSHR is busy, so the drain blocks on it. A demand at
+// the same cycle then hits the L2 and its L1 fill evicts the head's line,
+// writing it back into the L2. That changes only the port's generation, not
+// the system's: the next drain at that cycle must still find the line
+// L2-resident and retire the entry.
+func TestDrainSkipSeesSameCycleL2Fill(t *testing.T) {
+	const now = 1000
+	drain := func(skip bool) (head int, l2 bool) {
+		s := newSys(nil)
+		p := s.Port(0)
+		// L1 sets = 64: lines congruent mod 64 share one. v is filled first,
+		// so it is its set's LRU way once the other seven ways are filled.
+		v := memaddr.Line(100)
+		p.l1.Fill(v, cache.FillOpts{Dirty: true})
+		for i := 1; i < 8; i++ {
+			p.l1.Fill(v+memaddr.Line(i*64), cache.FillOpts{})
+		}
+		d := v + 8*64
+		p.l2.Fill(d, cache.FillOpts{})
+		for i := 0; i < s.cfg.L2MSHRs; i++ {
+			p.l2mshr.claim(0, 1<<40)
+		}
+		p.pq = append(p.pq, queuedPrefetch{req: prefetch.Request{Line: v}})
+		p.drainPrefetchQueue(now)
+		if !p.drainBlocked || p.pqHead != 0 {
+			t.Fatalf("drain with every L2 MSHR busy: blocked %v, head %d; want blocked at 0", p.drainBlocked, p.pqHead)
+		}
+		gen := p.sys.gen
+		p.Access(now, 1, d, false)
+		if p.sys.gen != gen {
+			t.Fatal("the L2-hit demand changed the system generation")
+		}
+		if !skip {
+			p.drainBlocked = false
+		}
+		p.drainPrefetchQueue(now)
+		return p.pqHead, p.l2.Probe(v)
+	}
+	wantHead, resident := drain(false)
+	if !resident || wantHead != 1 {
+		t.Fatalf("without the skip: head %d, line L2-resident %v; want the entry retired as L2-resident", wantHead, resident)
+	}
+	if head, _ := drain(true); head != wantHead {
+		t.Errorf("the skip left the queue head at %d; a drain that never skips moves it to %d", head, wantHead)
+	}
+}

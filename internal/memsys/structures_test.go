@@ -96,7 +96,7 @@ func TestInflightTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var tab inflightTable
 	tab.init()
-	ref := map[memaddr.Line]flight{}
+	ref := map[memaddr.Line]uint64{} // line -> ready cycle
 	now := uint64(0)
 	lineOf := func() memaddr.Line { return memaddr.Line(rng.Intn(6000)) }
 	for step := 0; step < 200_000; step++ {
@@ -104,22 +104,22 @@ func TestInflightTableMatchesMap(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0, 1:
 			l := lineOf()
-			f := flight{ready: now + uint64(rng.Intn(2000)), prefetch: rng.Intn(2) == 0}
-			tab.insert(l, f)
-			ref[l] = f
+			ready := now + uint64(rng.Intn(2000))
+			tab.insert(l, ready)
+			ref[l] = ready
 		case 2:
 			l := lineOf()
 			got, ok := tab.lookup(l)
 			want, wantOK := ref[l]
 			if ok != wantOK || got != want {
-				t.Fatalf("step %d: lookup(%d) = %+v,%v want %+v,%v", step, l, got, ok, want, wantOK)
+				t.Fatalf("step %d: lookup(%d) = %d,%v want %d,%v", step, l, got, ok, want, wantOK)
 			}
 		case 3:
 			// Mirror the port's prune rule on both sides.
 			if len(ref) >= inflightPrune {
 				tab.prune(now)
-				for l, f := range ref {
-					if f.ready <= now {
+				for l, ready := range ref {
+					if ready <= now {
 						delete(ref, l)
 					}
 				}
@@ -130,7 +130,7 @@ func TestInflightTableMatchesMap(t *testing.T) {
 	for l, want := range ref {
 		got, ok := tab.lookup(l)
 		if !ok || got != want {
-			t.Fatalf("final: lookup(%d) = %+v,%v want %+v,true", l, got, ok, want)
+			t.Fatalf("final: lookup(%d) = %d,%v want %d,true", l, got, ok, want)
 		}
 	}
 	if tab.occupied < len(ref) {
@@ -147,19 +147,19 @@ func TestInflightTableGrowsUnderPruneFreeStreak(t *testing.T) {
 	tab.init()
 	const n = 3 * inflightSlots
 	for i := 0; i < n; i++ {
-		tab.insert(memaddr.Line(i*64+7), flight{ready: 1 << 60, prefetch: i%2 == 0})
+		tab.insert(memaddr.Line(i*64+7), 1<<60+uint64(i))
 	}
 	if len(tab.lines) <= inflightSlots {
 		t.Fatalf("table did not grow: %d slots for %d live records", len(tab.lines), n)
 	}
 	for i := 0; i < n; i++ {
-		f, ok := tab.lookup(memaddr.Line(i*64 + 7))
-		if !ok || f.ready != 1<<60 || f.prefetch != (i%2 == 0) {
-			t.Fatalf("record %d lost or corrupted after growth: %+v ok=%v", i, f, ok)
+		ready, ok := tab.lookup(memaddr.Line(i*64 + 7))
+		if !ok || ready != 1<<60+uint64(i) {
+			t.Fatalf("record %d lost or corrupted after growth: ready %d ok=%v", i, ready, ok)
 		}
 	}
 	// A prune at a later cycle still clears everything completed.
-	tab.prune(1<<60 + 1)
+	tab.prune(1<<60 + n)
 	if tab.occupied != 0 {
 		t.Errorf("prune after growth left %d records", tab.occupied)
 	}

@@ -105,7 +105,7 @@ func pointRunKey(t *testing.T, p sweep.Point) string {
 	if err := p.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	return experiments.JobKey(p.Job())
+	return experiments.JobID(p.Job()).String()
 }
 
 // TestFleetCampaignChaosByteIdentical is the acceptance scenario from the

@@ -1058,7 +1058,10 @@ func (s *Server) submit(w http.ResponseWriter, j *job) {
 }
 
 // evictLocked makes room for one more job record, reporting false when the
-// table is pinned by non-terminal jobs. Caller holds s.mu.
+// table is pinned by non-terminal jobs. The oldest terminal job leaves
+// s.order in place: the tail shifts down over it and the vacated last slot
+// is cleared, so the evicted job can be collected and submit's append
+// reuses the slot instead of growing the slice. Caller holds s.mu.
 func (s *Server) evictLocked() bool {
 	if len(s.order) < s.cfg.MaxJobs {
 		return true
@@ -1069,7 +1072,10 @@ func (s *Server) evictLocked() bool {
 		old.mu.Unlock()
 		if terminal {
 			delete(s.jobs, old.id)
-			s.order = append(s.order[:i:i], s.order[i+1:]...)
+			last := len(s.order) - 1
+			copy(s.order[i:], s.order[i+1:])
+			s.order[last] = nil
+			s.order = s.order[:last]
 			return true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -533,6 +534,89 @@ func TestListJobs(t *testing.T) {
 	}
 	if !seen1 || !seen2 {
 		t.Errorf("list missing submitted jobs: %v %v", seen1, seen2)
+	}
+}
+
+// TestJobTableEvictsOldestTerminal runs a three-job table past its cap. The
+// listing keeps the newest jobs in submission order, evicted IDs answer 404,
+// a running or queued job is never evicted, and once every record is an
+// active job a new submission answers 503.
+func TestJobTableEvictsOldestTerminal(t *testing.T) {
+	_, c := newTestServer(t, Config{JobWorkers: 2, SimWorkers: 1, MaxJobs: 3})
+	ctx := ctxT(t)
+	quick := func() string {
+		t.Helper()
+		j, err := c.SubmitExperiment(ctx, "table1", ScaleSpec{})
+		if err != nil {
+			t.Fatalf("SubmitExperiment: %v", err)
+		}
+		if v, err := c.Wait(ctx, j.ID); err != nil || v.Status != StatusDone {
+			t.Fatalf("job %s: %v, status %q", j.ID, err, v.Status)
+		}
+		return j.ID
+	}
+	long := func(name string) string {
+		t.Helper()
+		j, err := c.SubmitRun(ctx, RunSpec{Workloads: []string{name}, Refs: maxRefs})
+		if err != nil {
+			t.Fatalf("SubmitRun: %v", err)
+		}
+		return j.ID
+	}
+	listed := func(want ...string) {
+		t.Helper()
+		list, err := c.Jobs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(list))
+		for i, v := range list {
+			got[i] = v.ID
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GET /v1/jobs lists %v, want %v", got, want)
+		}
+	}
+	gone := func(ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			var ae *APIError
+			if _, err := c.Job(ctx, id); !asAPIError(err, &ae) || ae.StatusCode != http.StatusNotFound {
+				t.Fatalf("evicted job %s: got %v, want 404", id, err)
+			}
+		}
+	}
+
+	var done []string
+	for i := 0; i < 5; i++ {
+		done = append(done, quick())
+	}
+	listed(done[2:]...)
+	gone(done[:2]...)
+
+	running := long("linpack")
+	if st := waitDequeued(t, c, running); st != StatusRunning {
+		t.Fatalf("%d-ref job is %q, want running", maxRefs, st)
+	}
+	t6, t7, t8 := quick(), quick(), quick()
+	listed(running, t7, t8) // t6 went although the running job is older
+	gone(t6)
+
+	active := []string{running, long("tpcc"), long("mcf")}
+	listed(active...)
+	_, err := c.SubmitExperiment(ctx, "table1", ScaleSpec{})
+	var ae *APIError
+	if !asAPIError(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable || !strings.Contains(ae.Message, "job table full") {
+		t.Fatalf("submit to a table of active jobs: got %v, want 503 job table full", err)
+	}
+	listed(active...)
+	for _, id := range active {
+		if _, err := c.Cancel(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.Wait(ctx, id); err != nil || !v.Status.Terminal() {
+			t.Fatalf("job %s: %v, status %q", id, err, v.Status)
+		}
 	}
 }
 

@@ -170,7 +170,8 @@ type axis struct {
 
 // axes returns the campaign's dimensions in canonical expansion order,
 // outermost first. Unswept axes appear with n = 1 so the mixed-radix index
-// arithmetic stays uniform.
+// arithmetic stays uniform. The table costs a slice and its closures, so
+// callers build it once and use it for every point.
 func (c *Campaign) axes() []axis {
 	one := func(p *Point, i int) {}
 	mk := func(name string, n int, set func(p *Point, i int), label func(i int) string) axis {
@@ -182,7 +183,7 @@ func (c *Campaign) axes() []axis {
 	a := c.Axes
 	return []axis{
 		mk("workloads", len(a.Workloads),
-			func(p *Point, i int) { p.Workloads = append([]string(nil), a.Workloads[i]...) },
+			func(p *Point, i int) { p.Workloads = a.Workloads[i] },
 			func(i int) string { return strings.Join(a.Workloads[i], "+") }),
 		mk("seeds", len(a.Seeds),
 			func(p *Point, i int) { p.Seed = a.Seeds[i] },
@@ -208,23 +209,13 @@ func (c *Campaign) axes() []axis {
 	}
 }
 
-// GridSize returns the full cross-product size of the axes (1 for an
-// axis-free campaign: the base point alone), saturating at MaxInt64 for
-// grids too large to count — expansion rejects those before any sampling.
-func (c *Campaign) GridSize() int64 {
-	total, err := c.gridSizeChecked()
-	if err != nil {
-		return math.MaxInt64
-	}
-	return total
-}
-
-// gridSizeChecked is GridSize with overflow surfaced: a partial product must
-// never be used as a sampling bound, or random draws would silently exclude
-// the inner axes' combinations.
-func (c *Campaign) gridSizeChecked() (int64, error) {
+// gridSize returns the full cross-product size of the axes (1 for an
+// axis-free campaign: the base point alone). A grid too large to count is
+// an error: a partial product must never be used as a sampling bound, or
+// random draws would silently exclude the inner axes' combinations.
+func gridSize(axes []axis) (int64, error) {
 	total := int64(1)
-	for _, ax := range c.axes() {
+	for _, ax := range axes {
 		n := int64(ax.n)
 		if total > math.MaxInt64/n {
 			return 0, fmt.Errorf("sweep: grid size overflows int64; shrink the axes")
@@ -250,28 +241,26 @@ func (c *Campaign) baselineL2() string {
 	return string(sim.PFNone)
 }
 
-// point materializes grid index idx into a normalized Point.
-func (c *Campaign) point(idx int64) (Point, error) {
-	p := c.Base
-	p.Workloads = append([]string(nil), c.Base.Workloads...)
-	axes := c.axes()
+// point materializes grid index idx of the campaign's axes into *p, a
+// normalized Point that owns its Workloads: it never shares the spec's
+// slices.
+func (c *Campaign) point(axes []axis, idx int64, p *Point) error {
+	*p = c.Base
 	for i := len(axes) - 1; i >= 0; i-- {
 		ax := axes[i]
-		ax.set(&p, int(idx%int64(ax.n)))
+		ax.set(p, int(idx%int64(ax.n)))
 		idx /= int64(ax.n)
 	}
-	if err := p.Normalize(); err != nil {
-		return p, err
-	}
-	return p, nil
+	p.Workloads = append([]string(nil), p.Workloads...)
+	return p.Normalize()
 }
 
 // indices returns the sorted grid indices the campaign's sampling strategy
 // selects. Grid returns every index; random draws Sample.Points distinct
 // indices with a seeded generator (Floyd's algorithm, so huge grids are
 // never materialized) and sorts them so emission order is canonical.
-func (c *Campaign) indices() ([]int64, error) {
-	total, err := c.gridSizeChecked()
+func (c *Campaign) indices(axes []axis) ([]int64, error) {
+	total, err := gridSize(axes)
 	if err != nil {
 		return nil, err
 	}
@@ -350,22 +339,21 @@ func (c *Campaign) Expand() ([]int64, []Point, error) {
 	if c.Sample.Points < 0 {
 		return nil, nil, fmt.Errorf("sweep: sample.points must be non-negative, got %d", c.Sample.Points)
 	}
-	idxs, err := c.indices()
+	axes := c.axes()
+	idxs, err := c.indices(axes)
 	if err != nil {
 		return nil, nil, err
 	}
 	pts := make([]Point, len(idxs))
 	for i, idx := range idxs {
-		p, err := c.point(idx)
-		if err != nil {
+		if err := c.point(axes, idx, &pts[i]); err != nil {
 			return nil, nil, fmt.Errorf("sweep: point %d: %w", idx, err)
 		}
-		if p.TrackPollution {
+		if pts[i].TrackPollution {
 			// Pollution fractions are not part of the stream (see Metrics),
 			// so a campaign would pay for the taxonomy and drop it.
 			return nil, nil, fmt.Errorf("sweep: point %d: track_pollution is not supported in campaigns", idx)
 		}
-		pts[i] = p
 	}
 	return idxs, pts, nil
 }

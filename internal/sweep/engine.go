@@ -178,13 +178,15 @@ func NewRecorder(c Campaign, emit func(json.RawMessage) error) (*Recorder, error
 	if err != nil {
 		return nil, err
 	}
+	axes := c.axes()
+	grid, _ := gridSize(axes) // Expand has rejected a grid that overflows
 	r := &Recorder{
 		c:           c,
 		emit:        emit,
 		idxs:        idxs,
 		pts:         pts,
 		bl:          c.baselineL2(),
-		axes:        c.axes(),
+		axes:        axes,
 		pending:     make([]*PointRecord, len(pts)),
 		droppedAt:   make([]string, len(pts)),
 		marginPools: map[string]map[string][]float64{},
@@ -195,7 +197,7 @@ func NewRecorder(c Campaign, emit func(json.RawMessage) error) (*Recorder, error
 		Type:       "campaign",
 		Name:       c.Name,
 		Strategy:   strategyName(c.Sample.Strategy),
-		Grid:       c.GridSize(),
+		Grid:       grid,
 		Points:     len(pts),
 		BaselineL2: r.bl,
 	}); err != nil {
@@ -303,7 +305,7 @@ func (r *Recorder) flush() error {
 		if len(rec.Prefetchers) > 0 {
 			r.prefStats = prefstats.Merge(r.prefStats, rec.Prefetchers)
 		}
-		if err := emitRec(r.emit, *rec); err != nil {
+		if err := emitRec(r.emit, rec); err != nil {
 			return err
 		}
 		r.flushed++
@@ -510,9 +512,10 @@ func (e *Engine) runLocal(ctx context.Context, rs *Runs) (*FleetSummary, error) 
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
+	jobs := make([]experiments.Job, 0, len(rs.pending))
 	for lo := 0; lo < len(rs.pending); {
 		hi := lo
-		var jobs []experiments.Job
+		jobs = jobs[:0]
 		for groups := 1; hi < len(rs.pending); hi++ {
 			if hi > lo && rs.pending[hi].group != rs.pending[hi-1].group {
 				if groups++; groups > w {
@@ -543,9 +546,11 @@ type run struct {
 	pt      Point
 	job     experiments.Job
 	group   int // schedule group of the first point needing it
-	res     *sim.Result
+	res     sim.Result
+	done    bool // res is final
 	durable bool // the result is in the store: a journal frame may cite it
 	waiters []int
+	inline  [2]int // waiters' first backing: most runs have one or two
 }
 
 // runKey is r's canonical key, the result-store key. It is rendered lazily:
@@ -576,21 +581,35 @@ type Runs struct {
 	open    int    // positions not yet completed or dropped
 }
 
+// runSlab caps the runs newRuns allocates at once, so a resumed campaign
+// with few points left does not allocate runs for the whole grid.
+const runSlab = 64
+
 // newRuns deduplicates the points of groups that replay left unresolved into
-// runs: each point's baseline partner, then its own run.
+// runs: each point's baseline partner, then its own run. The runs live in
+// slabs of one per point (at most runSlab), the usual count when the
+// baseline is on the l2 axis; a full slab is left in place and a new one
+// started, so no run moves.
 func newRuns(e *Engine, rec *Recorder, groups [][]int, resolved []bool) *Runs {
 	n := rec.Len()
 	rs := &Runs{
 		e: e, rec: rec, jl: e.Journal, store: e.Store,
 		self: make([]*run, n), base: make([]*run, n), need: make([]int, n),
+		pending: make([]*run, 0, n),
 	}
-	at := map[experiments.RunID]*run{}
+	var slab []run
+	at := make(map[experiments.RunID]*run, n)
 	add := func(p Point, pos, group int) *run {
 		job := p.Job()
 		id := experiments.JobID(job)
 		r := at[id]
 		if r == nil {
-			r = &run{id: id, pt: p, job: job, group: group}
+			if len(slab) == cap(slab) {
+				slab = make([]run, 0, min(n, runSlab))
+			}
+			slab = append(slab, run{id: id, pt: p, job: job, group: group})
+			r = &slab[len(slab)-1]
+			r.waiters = r.inline[:0]
 			at[id] = r
 			rs.pending = append(rs.pending, r)
 		}
@@ -639,10 +658,10 @@ func (rs *Runs) Complete(i int, res sim.Result) error { return rs.complete(rs.pe
 // store or journal degrades — the campaign keeps running, it just stops
 // being resumable from that event on.
 func (rs *Runs) complete(r *run, res sim.Result) error {
-	if r.res != nil {
+	if r.done {
 		return nil
 	}
-	r.res = &res
+	r.res, r.done = res, true
 	if !r.durable && experiments.Stored(r.id, rs.store) {
 		r.durable = true
 	}
@@ -675,9 +694,9 @@ func (rs *Runs) complete(r *run, res sim.Result) error {
 		}
 		var baseRes *sim.Result
 		if base != nil {
-			baseRes = base.res
+			baseRes = &base.res
 		}
-		if err := rs.rec.Complete(pos, *self.res, baseRes); err != nil {
+		if err := rs.rec.Complete(pos, self.res, baseRes); err != nil {
 			return err
 		}
 		rs.open--
@@ -722,10 +741,15 @@ func strategyName(s string) string {
 // first-appearance order between groups and index order within each, so the
 // schedule is a pure function of the point list.
 func groupedOrder(pts []Point) [][]int {
-	at := map[string]int{}
+	type traceID struct {
+		mix  string
+		refs int
+		seed int64
+	}
+	at := map[traceID]int{}
 	var groups [][]int
 	for i, p := range pts {
-		k := fmt.Sprintf("%s\x00%d\x00%d", strings.Join(p.Workloads, "\x01"), p.Refs, p.Seed)
+		k := traceID{strings.Join(p.Workloads, "\x01"), p.Refs, p.Seed}
 		g, ok := at[k]
 		if !ok {
 			g = len(groups)

@@ -118,8 +118,8 @@ func TestRandomSamplingReproducible(t *testing.T) {
 		}
 	}
 	c := mk(7)
-	if g := c.GridSize(); g != 128 {
-		t.Fatalf("grid = %d, want 128", g)
+	if g, err := gridSize(c.axes()); err != nil || g != 128 {
+		t.Fatalf("grid = %d (%v), want 128", g, err)
 	}
 	i1, p1, err := c.Expand()
 	if err != nil {
@@ -171,7 +171,7 @@ func TestRandomSampleCoveringGridDegradesToGrid(t *testing.T) {
 // decoding into Expand, which must never panic. Every point Expand returns
 // is normalized, and because run deduplication and fleet dispatch rest on
 // the run identity alone, its JSON round trip must normalize again to the
-// same JobKey. The shared scenario registry is reset for each input, so
+// same run key. The shared scenario registry is reset for each input, so
 // inputs never see each other's scenarios.
 func FuzzCampaignExpand(f *testing.F) {
 	for _, seed := range []string{
@@ -206,7 +206,7 @@ func FuzzCampaignExpand(f *testing.F) {
 			return
 		}
 		for i, p := range pts {
-			key := experiments.JobKey(p.Job())
+			key := experiments.JobID(p.Job()).String()
 			b, err := json.Marshal(p)
 			if err != nil {
 				t.Fatalf("point %d: marshal: %v", i, err)
@@ -218,8 +218,8 @@ func FuzzCampaignExpand(f *testing.F) {
 			if err := q.Normalize(); err != nil {
 				t.Fatalf("point %d: round trip %s no longer normalizes: %v", i, b, err)
 			}
-			if got := experiments.JobKey(q.Job()); got != key {
-				t.Fatalf("point %d: JobKey changed across a JSON round trip:\n%s\n%s", i, key, got)
+			if got := experiments.JobID(q.Job()).String(); got != key {
+				t.Fatalf("point %d: run key changed across a JSON round trip:\n%s\n%s", i, key, got)
 			}
 		}
 	})
