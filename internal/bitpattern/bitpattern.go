@@ -16,7 +16,7 @@ import (
 	"strings"
 )
 
-// Pattern is a spatial bit-pattern over a region of Width() places.
+// Pattern is a spatial bit-pattern over a region of width places.
 // The zero value is an empty pattern of width 0; construct with New.
 // Widths up to 64 are supported, which covers every granularity DSPatch
 // uses: 64 (4KB page at 64B lines), 32 (2KB segment at 64B lines, or 4KB
@@ -35,13 +35,6 @@ func New(width int) Pattern {
 	return Pattern{width: uint8(width)}
 }
 
-// FromBits returns a pattern of the given width with the low width bits of b.
-func FromBits(b uint64, width int) Pattern {
-	p := New(width)
-	p.bits = b & p.mask()
-	return p
-}
-
 func (p Pattern) mask() uint64 {
 	if p.width == 64 {
 		return ^uint64(0)
@@ -49,36 +42,16 @@ func (p Pattern) mask() uint64 {
 	return uint64(1)<<p.width - 1
 }
 
-// Width returns the number of places in the pattern.
-func (p Pattern) Width() int { return int(p.width) }
-
 // Bits returns the raw bits of the pattern.
 func (p Pattern) Bits() uint64 { return p.bits }
 
 // Set returns p with bit i set. Out-of-range i panics.
 func (p Pattern) Set(i int) Pattern {
-	p.checkIndex(i)
-	p.bits |= 1 << uint(i)
-	return p
-}
-
-// Clear returns p with bit i cleared.
-func (p Pattern) Clear(i int) Pattern {
-	p.checkIndex(i)
-	p.bits &^= 1 << uint(i)
-	return p
-}
-
-// Get reports whether bit i is set.
-func (p Pattern) Get(i int) bool {
-	p.checkIndex(i)
-	return p.bits&(1<<uint(i)) != 0
-}
-
-func (p Pattern) checkIndex(i int) {
 	if i < 0 || i >= int(p.width) {
 		panic("bitpattern: index out of range")
 	}
+	p.bits |= 1 << uint(i)
+	return p
 }
 
 // PopCount returns the number of set bits.
@@ -118,23 +91,12 @@ func (p Pattern) checkWidth(q Pattern) {
 }
 
 // Anchor rotates the pattern so bit 0 aligns with the trigger offset:
-// anchored bit i corresponds to original bit (i+trigger) mod Width.
+// anchored bit i corresponds to original bit (i+trigger) mod width.
 // This is the "rotate left to the trigger" operation of paper Fig. 2.
+// A negative trigger rotates the other way, so Anchor(-k) undoes Anchor(k).
 func (p Pattern) Anchor(trigger int) Pattern {
-	return p.rotate(trigger)
-}
-
-// Unanchor is the inverse of Anchor: it maps an anchored (trigger-relative)
-// pattern back to absolute region offsets given the trigger offset.
-func (p Pattern) Unanchor(trigger int) Pattern {
-	return p.rotate(-trigger)
-}
-
-// rotate rotates right-to-left by k places within the pattern width, so that
-// result bit i equals original bit (i+k) mod width.
-func (p Pattern) rotate(k int) Pattern {
 	w := int(p.width)
-	k %= w
+	k := trigger % w
 	if k < 0 {
 		k += w
 	}
@@ -211,40 +173,6 @@ func Concat(lo, hi Pattern) Pattern {
 	out := New(int(lo.width) * 2)
 	out.bits = lo.bits | hi.bits<<lo.width
 	return out
-}
-
-// Offsets appends to dst the indices of the set bits, in ascending order.
-func (p Pattern) Offsets(dst []int) []int {
-	b := p.bits
-	for b != 0 {
-		i := bits.TrailingZeros64(b)
-		dst = append(dst, i)
-		b &= b - 1
-	}
-	return dst
-}
-
-// AppendString appends the pattern's rendering (LSB-first in 4-bit groups,
-// e.g. "0100 1100") to dst and returns the extended slice. It is the
-// allocation-free fast path behind String; formatters that render many
-// patterns reuse one buffer across calls.
-func (p Pattern) AppendString(dst []byte) []byte {
-	w := int(p.width)
-	b := p.bits
-	for i := 0; i < w; i += 4 {
-		if i > 0 {
-			dst = append(dst, ' ')
-		}
-		n := w - i
-		if n > 4 {
-			n = 4
-		}
-		for j := 0; j < n; j++ {
-			dst = append(dst, '0'+byte(b&1))
-			b >>= 1
-		}
-	}
-	return dst
 }
 
 // StringLen returns the exact length of the String rendering: one byte per

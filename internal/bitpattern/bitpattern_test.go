@@ -6,11 +6,18 @@ import (
 	"testing/quick"
 )
 
+// fromBits returns a pattern of the given width with the low width bits of b.
+func fromBits(b uint64, width int) Pattern {
+	p := New(width)
+	p.bits = b & p.mask()
+	return p
+}
+
 func TestNewWidths(t *testing.T) {
 	for _, w := range []int{1, 16, 32, 64} {
 		p := New(w)
-		if p.Width() != w {
-			t.Errorf("New(%d).Width() = %d", w, p.Width())
+		if int(p.width) != w {
+			t.Errorf("New(%d) has width %d", w, p.width)
 		}
 		if !p.Empty() {
 			t.Errorf("New(%d) not empty", w)
@@ -34,31 +41,23 @@ func TestNewPanicsOnBadWidth(t *testing.T) {
 func TestSetGetClear(t *testing.T) {
 	p := New(64)
 	p = p.Set(0).Set(5).Set(63)
-	for i := 0; i < 64; i++ {
-		want := i == 0 || i == 5 || i == 63
-		if p.Get(i) != want {
-			t.Errorf("bit %d = %v, want %v", i, p.Get(i), want)
-		}
+	if want := uint64(1)<<0 | 1<<5 | 1<<63; p.Bits() != want {
+		t.Errorf("bits = %#x, want %#x", p.Bits(), want)
 	}
 	if p.PopCount() != 3 {
 		t.Errorf("PopCount = %d, want 3", p.PopCount())
 	}
-	p = p.Clear(5)
-	if p.Get(5) || p.PopCount() != 2 {
-		t.Errorf("Clear failed: %v", p)
-	}
-}
-
-func TestFromBitsMasks(t *testing.T) {
-	p := FromBits(^uint64(0), 16)
-	if p.Bits() != 0xffff {
-		t.Errorf("FromBits should mask to width: got %#x", p.Bits())
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Set(64) on a 64-wide pattern did not panic")
+		}
+	}()
+	p.Set(64)
 }
 
 func TestOrAndSemantics(t *testing.T) {
-	a := FromBits(0b1100, 8)
-	b := FromBits(0b1010, 8)
+	a := fromBits(0b1100, 8)
+	b := fromBits(0b1010, 8)
 	if got := a.Or(b).Bits(); got != 0b1110 {
 		t.Errorf("Or = %#b", got)
 	}
@@ -99,9 +98,9 @@ func TestAnchorPaperFigure2(t *testing.T) {
 
 func TestAnchorUnanchorInverse(t *testing.T) {
 	f := func(raw uint64, trig uint8) bool {
-		p := FromBits(raw, 64)
+		p := fromBits(raw, 64)
 		k := int(trig) % 64
-		return p.Anchor(k).Unanchor(k).Equal(p)
+		return p.Anchor(k).Anchor(-k).Equal(p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -110,7 +109,7 @@ func TestAnchorUnanchorInverse(t *testing.T) {
 
 func TestAnchorPreservesPopCount(t *testing.T) {
 	f := func(raw uint64, trig uint8) bool {
-		p := FromBits(raw, 32)
+		p := fromBits(raw, 32)
 		return p.Anchor(int(trig)%32).PopCount() == p.PopCount()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -122,14 +121,14 @@ func TestAnchorTriggerBecomesBitZero(t *testing.T) {
 	// If the trigger offset's bit is set, the anchored pattern has bit 0 set.
 	for trig := 0; trig < 64; trig++ {
 		p := New(64).Set(trig)
-		if !p.Anchor(trig).Get(0) {
+		if p.Anchor(trig).Bits()&1 == 0 {
 			t.Errorf("trigger %d: anchored bit 0 not set", trig)
 		}
 	}
 }
 
 func TestAnchorZeroIsIdentity(t *testing.T) {
-	p := FromBits(0xdeadbeefcafe, 64)
+	p := fromBits(0xdeadbeefcafe, 64)
 	if !p.Anchor(0).Equal(p) {
 		t.Error("Anchor(0) should be identity")
 	}
@@ -139,8 +138,8 @@ func TestCompressExpand(t *testing.T) {
 	// bits 0 and 1 compress to bit 0; bit 7 compresses to bit 3.
 	p := New(8).Set(0).Set(1).Set(7)
 	c := p.Compress()
-	if c.Width() != 4 {
-		t.Fatalf("compressed width = %d", c.Width())
+	if c.width != 4 {
+		t.Fatalf("compressed width = %d", c.width)
 	}
 	want := New(4).Set(0).Set(3)
 	if !c.Equal(want) {
@@ -157,7 +156,7 @@ func TestCompressNeverLosesCoverage(t *testing.T) {
 	// Expand(Compress(p)) must be a superset of p: compression may over-
 	// predict (hurting accuracy) but never under-predict (paper §3.8).
 	f := func(raw uint64) bool {
-		p := FromBits(raw, 64)
+		p := fromBits(raw, 64)
 		sup := p.Compress().Expand()
 		return p.And(sup).Equal(p)
 	}
@@ -170,7 +169,7 @@ func TestCompressMispredictionBound(t *testing.T) {
 	// The extra (mispredicted) lines from compression are at most PopCount(p):
 	// each set 128B bit adds at most one untouched 64B line.
 	f := func(raw uint64) bool {
-		p := FromBits(raw, 64)
+		p := fromBits(raw, 64)
 		extra := p.Compress().Expand().AndNot(p).PopCount()
 		return extra <= p.PopCount()
 	}
@@ -180,27 +179,13 @@ func TestCompressMispredictionBound(t *testing.T) {
 }
 
 func TestHalfConcat(t *testing.T) {
-	p := FromBits(0xABCD_1234_5678_9EF0, 64)
+	p := fromBits(0xABCD_1234_5678_9EF0, 64)
 	lo, hi := p.Half(0), p.Half(1)
 	if lo.Bits() != 0x5678_9EF0 || hi.Bits() != 0xABCD_1234 {
 		t.Errorf("halves = %#x, %#x", lo.Bits(), hi.Bits())
 	}
 	if !Concat(lo, hi).Equal(p) {
 		t.Error("Concat(Half(0), Half(1)) != original")
-	}
-}
-
-func TestOffsets(t *testing.T) {
-	p := New(32).Set(3).Set(17).Set(31)
-	got := p.Offsets(nil)
-	want := []int{3, 17, 31}
-	if len(got) != len(want) {
-		t.Fatalf("Offsets = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Offsets = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -215,7 +200,7 @@ func TestRotateFullCycle(t *testing.T) {
 	// Rotating width times returns the original.
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 100; i++ {
-		p := FromBits(rng.Uint64(), 32)
+		p := fromBits(rng.Uint64(), 32)
 		q := p
 		for k := 0; k < 32; k++ {
 			q = q.Anchor(1)
@@ -229,7 +214,7 @@ func TestRotateFullCycle(t *testing.T) {
 func TestAnchorComposition(t *testing.T) {
 	// Anchor(a).Anchor(b) == Anchor(a+b mod w)
 	f := func(raw uint64, a, b uint8) bool {
-		p := FromBits(raw, 64)
+		p := fromBits(raw, 64)
 		x, y := int(a)%64, int(b)%64
 		return p.Anchor(x).Anchor(y).Equal(p.Anchor((x + y) % 64))
 	}
@@ -241,9 +226,9 @@ func TestAnchorComposition(t *testing.T) {
 // naiveCompress is the pre-optimization loop implementation of Compress,
 // kept as the oracle for the branchless shift/mask fold.
 func naiveCompress(p Pattern) Pattern {
-	out := New(p.Width() / 2)
+	out := New(int(p.width) / 2)
 	merged := p.Bits() | p.Bits()>>1
-	for i := 0; i < out.Width(); i++ {
+	for i := 0; i < int(out.width); i++ {
 		if merged&(1<<uint(2*i)) != 0 {
 			out = out.Set(i)
 		}
@@ -253,8 +238,8 @@ func naiveCompress(p Pattern) Pattern {
 
 // naiveExpand is the pre-optimization loop implementation of Expand.
 func naiveExpand(p Pattern) Pattern {
-	out := New(p.Width() * 2)
-	for i := 0; i < p.Width(); i++ {
+	out := New(int(p.width) * 2)
+	for i := 0; i < int(p.width); i++ {
 		if p.Bits()&(1<<uint(i)) != 0 {
 			out = out.Set(2 * i).Set(2*i + 1)
 		}
@@ -265,7 +250,7 @@ func naiveExpand(p Pattern) Pattern {
 func TestCompressMatchesNaive(t *testing.T) {
 	for _, w := range []int{2, 4, 8, 16, 32, 64} {
 		f := func(raw uint64) bool {
-			p := FromBits(raw, w)
+			p := fromBits(raw, w)
 			return p.Compress().Equal(naiveCompress(p))
 		}
 		if err := quick.Check(f, nil); err != nil {
@@ -277,7 +262,7 @@ func TestCompressMatchesNaive(t *testing.T) {
 func TestExpandMatchesNaive(t *testing.T) {
 	for _, w := range []int{1, 4, 8, 16, 32} {
 		f := func(raw uint64) bool {
-			p := FromBits(raw, w)
+			p := fromBits(raw, w)
 			return p.Expand().Equal(naiveExpand(p))
 		}
 		if err := quick.Check(f, nil); err != nil {
@@ -286,33 +271,8 @@ func TestExpandMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestAppendStringMatchesString(t *testing.T) {
-	buf := make([]byte, 0, 80)
-	for _, w := range []int{1, 3, 4, 5, 8, 15, 16, 31, 32, 63, 64} {
-		f := func(raw uint64) bool {
-			p := FromBits(raw, w)
-			buf = p.AppendString(buf[:0])
-			return string(buf) == p.String() && len(buf) == p.StringLen()
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("width %d: %v", w, err)
-		}
-	}
-}
-
-func TestAppendStringDoesNotAllocate(t *testing.T) {
-	p := FromBits(0xdeadbeefcafe1234, 64)
-	buf := make([]byte, 0, p.StringLen())
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = p.AppendString(buf[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("AppendString allocates %.0f times per call, want 0", allocs)
-	}
-}
-
 func TestStringAllocatesOnce(t *testing.T) {
-	p := FromBits(0xdeadbeefcafe1234, 64)
+	p := fromBits(0xdeadbeefcafe1234, 64)
 	allocs := testing.AllocsPerRun(100, func() {
 		_ = p.String()
 	})

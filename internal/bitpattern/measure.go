@@ -33,9 +33,6 @@ func QuartileOf(num, den int) Quartile {
 	}
 }
 
-// AtLeast reports whether q is at least the given quartile.
-func (q Quartile) AtLeast(t Quartile) bool { return q >= t }
-
 // String implements fmt.Stringer.
 func (q Quartile) String() string {
 	switch q {
@@ -73,23 +70,6 @@ func (m Measure) AccuracyQ() Quartile { return QuartileOf(m.Accurate, m.Pred) }
 // CoverageQ returns the quantized prediction coverage Cacc/Creal.
 func (m Measure) CoverageQ() Quartile { return QuartileOf(m.Accurate, m.Real) }
 
-// Accuracy returns the exact fractional accuracy (for reporting only; the
-// hardware never computes this).
-func (m Measure) Accuracy() float64 {
-	if m.Pred == 0 {
-		return 0
-	}
-	return float64(m.Accurate) / float64(m.Pred)
-}
-
-// Coverage returns the exact fractional coverage (for reporting only).
-func (m Measure) Coverage() float64 {
-	if m.Real == 0 {
-		return 0
-	}
-	return float64(m.Accurate) / float64(m.Real)
-}
-
 // SatCounter is an n-bit saturating counter. DSPatch uses 2-bit instances for
 // OrCount, MeasureCovP and MeasureAccP.
 type SatCounter struct {
@@ -121,9 +101,6 @@ func (c *SatCounter) Dec() {
 
 // Reset sets the counter to zero.
 func (c *SatCounter) Reset() { c.v = 0 }
-
-// Value returns the current count.
-func (c *SatCounter) Value() int { return int(c.v) }
 
 // Saturated reports whether the counter is at its maximum.
 func (c *SatCounter) Saturated() bool { return c.v == c.max }

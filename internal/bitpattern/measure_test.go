@@ -90,43 +90,36 @@ func TestComparePaperFigure8(t *testing.T) {
 func TestCompareExactFractions(t *testing.T) {
 	pred := New(8).Set(0).Set(1)
 	act := New(8).Set(1).Set(2).Set(3).Set(4)
-	m := Compare(pred, act)
-	if m.Accuracy() != 0.5 {
-		t.Errorf("Accuracy = %v", m.Accuracy())
-	}
-	if m.Coverage() != 0.25 {
-		t.Errorf("Coverage = %v", m.Coverage())
-	}
-	var zero Measure
-	if zero.Accuracy() != 0 || zero.Coverage() != 0 {
-		t.Error("zero measure should have zero fractions")
+	// Accuracy 1/2 and coverage 1/4, as the counts the quartiles divide.
+	if m := Compare(pred, act); m != (Measure{Pred: 2, Real: 4, Accurate: 1}) {
+		t.Errorf("Compare = %+v, want Pred 2, Real 4, Accurate 1", m)
 	}
 }
 
 func TestSatCounter(t *testing.T) {
 	c := NewSatCounter(2)
-	if c.Saturated() || c.Value() != 0 {
+	if c.Saturated() || c.v != 0 {
 		t.Fatal("fresh counter should be zero")
 	}
 	for i := 0; i < 10; i++ {
 		c.Inc()
 	}
-	if !c.Saturated() || c.Value() != 3 {
-		t.Fatalf("2-bit counter should saturate at 3, got %d", c.Value())
+	if !c.Saturated() || c.v != 3 {
+		t.Fatalf("2-bit counter should saturate at 3, got %d", c.v)
 	}
 	c.Dec()
-	if c.Saturated() || c.Value() != 2 {
-		t.Fatalf("after Dec: %d", c.Value())
+	if c.Saturated() || c.v != 2 {
+		t.Fatalf("after Dec: %d", c.v)
 	}
 	for i := 0; i < 10; i++ {
 		c.Dec()
 	}
-	if c.Value() != 0 {
-		t.Fatalf("should floor at 0, got %d", c.Value())
+	if c.v != 0 {
+		t.Fatalf("should floor at 0, got %d", c.v)
 	}
 	c.Inc()
 	c.Reset()
-	if c.Value() != 0 {
+	if c.v != 0 {
 		t.Fatal("Reset should zero the counter")
 	}
 }

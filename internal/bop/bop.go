@@ -63,12 +63,11 @@ type BOP struct {
 	rr    []memaddr.Line
 	rrSet []bool
 
-	scores    []int
-	testIdx   int
-	round     int
-	bestOff   int
-	bestScore int
-	active    bool // prefetching enabled (best score exceeded BadScore)
+	scores  []int
+	testIdx int
+	round   int
+	bestOff int  // selected global delta; 0 while prefetching is off
+	active  bool // prefetching enabled (best score exceeded BadScore)
 
 	// Telemetry: plain hot-path counters, snapshotted by ReportStats.
 	statTrains     uint64    // training events (misses + prefetched hits)
@@ -97,15 +96,6 @@ func (b *BOP) Name() string {
 		return "ebop"
 	}
 	return "bop"
-}
-
-// BestOffset exposes the currently selected global delta (0 while learning
-// has not converged or prefetching is off). Used by tests and diagnostics.
-func (b *BOP) BestOffset() int {
-	if !b.active {
-		return 0
-	}
-	return b.bestOff
 }
 
 func (b *BOP) rrInsert(l memaddr.Line) {
@@ -188,7 +178,6 @@ func (b *BOP) Train(a prefetch.Access, ctx prefetch.Context, dst []prefetch.Requ
 func (b *BOP) adopt(i int) {
 	b.statAdoptions++
 	b.bestOff = offsetList[i]
-	b.bestScore = b.scores[i]
 	b.active = true
 	b.resetLearning()
 }
@@ -201,7 +190,6 @@ func (b *BOP) adoptBest() {
 			best, bestScore = i, s
 		}
 	}
-	b.bestScore = bestScore
 	if bestScore <= b.cfg.BadScore {
 		b.statDeactivate++
 		b.active = false

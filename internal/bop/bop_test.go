@@ -48,7 +48,7 @@ func TestLearnsGlobalDelta(t *testing.T) {
 		}
 		out = b.Train(miss(line), nil, nil)
 	}
-	best := b.BestOffset()
+	best := b.bestOff
 	if best == 0 || best%3 != 0 {
 		t.Errorf("best offset = %d, want a multiple of 3", best)
 	}
@@ -63,7 +63,7 @@ func TestDegree(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		b.Train(miss(uint64(i%60)+uint64(i/60)*memaddr.LinesPage), nil, nil)
 	}
-	if b.BestOffset() == 0 {
+	if b.bestOff == 0 {
 		t.Fatal("did not converge on a stream")
 	}
 	out := b.Train(miss(500*memaddr.LinesPage), nil, nil)
@@ -104,8 +104,8 @@ func TestNoPrefetchingWithBadScore(t *testing.T) {
 		x = x*6364136223846793005 + 1442695040888963407
 		b.Train(miss(x%(1<<30)), nil, nil)
 	}
-	if b.BestOffset() != 0 && b.bestScore <= b.cfg.BadScore {
-		t.Errorf("prefetching active with bad score %d", b.bestScore)
+	if b.active || b.bestOff != 0 || b.statDeactivate == 0 {
+		t.Errorf("prefetching active (offset %d) after offset-free training", b.bestOff)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestHitsDontTrainUnlessPrefetched(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		b.Train(prefetch.Access{Line: memaddr.Line(i % 60), Hit: true, HitPrefetched: true}, nil, nil)
 	}
-	if b.round == 0 && b.testIdx == 0 && b.BestOffset() == 0 {
+	if b.round == 0 && b.testIdx == 0 && b.bestOff == 0 {
 		t.Error("prefetched hits should advance learning")
 	}
 }

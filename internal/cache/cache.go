@@ -138,9 +138,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the configuration the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -388,19 +385,6 @@ func (c *Cache) argminLRU(set []uint64, mask uint64) int {
 			return way
 		}
 	}
-}
-
-// Invalidate removes l if resident, returning whether it was dirty.
-func (c *Cache) Invalidate(l memaddr.Line) (present, dirty bool) {
-	set := c.set(l)
-	way := c.findWay(set, c.tag(l))
-	if way < 0 {
-		return false, false
-	}
-	shift := uint(way) * 4
-	dirty = set[0]>>shift&fDirty != 0
-	set[0] &^= fValid << shift
-	return true, dirty
 }
 
 // lineOf reconstructs a victim's line address from its tag and the set the

@@ -145,22 +145,6 @@ func TestDuplicateFillNoVictim(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := smallCache()
-	c.Fill(0, FillOpts{Dirty: true})
-	present, dirty := c.Invalidate(0)
-	if !present || !dirty {
-		t.Errorf("Invalidate = %v,%v", present, dirty)
-	}
-	if c.Probe(0) {
-		t.Error("line still present after invalidate")
-	}
-	present, _ = c.Invalidate(0)
-	if present {
-		t.Error("second invalidate should report absent")
-	}
-}
-
 func TestVictimLineReconstruction(t *testing.T) {
 	// Property: the victim's line address must map to the same set as the
 	// fill and be a line we actually inserted earlier.

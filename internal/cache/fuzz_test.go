@@ -8,8 +8,8 @@ import (
 )
 
 // tagStoreOps decodes a fuzz input into operations, two bytes each: an op
-// byte and a line byte. The op byte's low two bits pick Access, Fill, Probe
-// or Invalidate; bit 2 is Access's write flag or Fill's Prefetch, bits 3 and
+// byte and a line byte. The op byte's low two bits pick Access, Fill or
+// Probe (2 and 3); bit 2 is Access's write flag or Fill's Prefetch, bits 3 and
 // 4 are Fill's LowPriority and Dirty, and bit 5 asks for an Absent fill when
 // the line is not resident. Lines are the line byte itself, so on 4 sets
 // every set sees 64 distinct tags.
@@ -33,15 +33,9 @@ func runTagStoreOps(t *testing.T, ways int, deadBlockAware bool, ops []byte) {
 			if got, want := pk.Fill(l, opts), ref.Fill(l, opts); got != want {
 				t.Fatalf("op %d: Fill(%d, %+v) = %+v, reference %+v", i/2, l, opts, got, want)
 			}
-		case 2:
+		default:
 			if got, want := pk.Probe(l), ref.Probe(l); got != want {
 				t.Fatalf("op %d: Probe(%d) = %t, reference %t", i/2, l, got, want)
-			}
-		case 3:
-			gp, gd := pk.Invalidate(l)
-			wp, wd := ref.Invalidate(l)
-			if gp != wp || gd != wd {
-				t.Fatalf("op %d: Invalidate(%d) = %t,%t, reference %t,%t", i/2, l, gp, gd, wp, wd)
 			}
 		}
 	}
@@ -58,16 +52,14 @@ func FuzzTagStore(f *testing.F) {
 	const (
 		access = 0
 		fill   = 1
-		inval  = 3
 		pf     = 4
 		lowPri = 8
 	)
-	// Several low-priority ways tied at LRU, filled out of way order (the
-	// invalidations reopen ways 2 and 0 after way 3), then evicted by normal
-	// fills and a demand promotion (way numbers for the 4-way geometry).
+	// Several low-priority ways tied at LRU, then evicted by low-priority
+	// and normal fills and a demand promotion.
 	tied := []byte{
 		fill | lowPri, 0, fill, 4, fill | lowPri | pf, 8, fill | lowPri, 12,
-		inval, 8, inval, 0, fill | lowPri | pf, 16, fill | lowPri, 20,
+		fill | lowPri | pf, 16, fill | lowPri, 20,
 		access, 16, fill, 24, fill | pf, 28, fill, 32, fill | lowPri, 36,
 	}
 	for ways := uint8(1); ways <= 16; ways++ {

@@ -142,17 +142,3 @@ func (c *scanStore) pickVictim(set []scanWay) int {
 	}
 	return best
 }
-
-func (c *scanStore) Invalidate(l memaddr.Line) (present, dirty bool) {
-	set := c.set(l)
-	tag := c.tag(l)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == tag {
-			present, dirty = true, w.dirty
-			w.valid = false
-			return
-		}
-	}
-	return
-}

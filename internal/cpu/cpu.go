@@ -67,9 +67,6 @@ func New(cfg Config) *Core {
 // Cycle returns the current simulated cycle (the dispatch frontier).
 func (c *Core) Cycle() uint64 { return c.dispatchCycle }
 
-// Instructions returns how many instructions have been dispatched.
-func (c *Core) Instructions() uint64 { return c.instructions }
-
 // retireOne retires the oldest in-flight instruction and returns the cycle
 // at which its ROB slot frees.
 func (c *Core) retireOne() uint64 {
@@ -131,17 +128,12 @@ func (c *Core) push(done uint64) {
 	c.instructions++
 }
 
-// Op dispatches one non-memory instruction (single-cycle execution).
-func (c *Core) Op() {
-	slot := c.dispatchSlot()
-	c.push(slot + 1)
-}
-
-// Ops dispatches n non-memory instructions. It is Op unrolled in place:
-// instruction gaps run it for every simulated reference, so the dispatch
+// Ops dispatches n non-memory instructions (single-cycle execution).
+// Instruction gaps run it for every simulated reference, so the dispatch
 // slot, retirement and ROB push work on locals for the whole batch (the
 // compiler cannot cache pointer fields across the complete[] stores) and
-// write back once. The state transitions are identical to n calls of Op.
+// write back once. The state transitions are identical to n dispatches of
+// one instruction each (TestOpsMatchesOp).
 func (c *Core) Ops(n int) {
 	rob, width := c.cfg.ROB, c.cfg.Width
 	head, count := c.head, c.count

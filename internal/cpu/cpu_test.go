@@ -1,9 +1,64 @@
 package cpu
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func fixedLatency(lat uint64) LoadFunc {
 	return func(issue uint64) uint64 { return issue + lat }
+}
+
+// Op dispatches one non-memory instruction (single-cycle execution). It is
+// the oracle for Ops, which must leave the core exactly as n calls of Op do.
+func (c *Core) Op() {
+	slot := c.dispatchSlot()
+	c.push(slot + 1)
+}
+
+// TestOpsMatchesOp drives two cores through the same random interleaving of
+// loads, dependent loads, stores and runs of non-memory instructions, one
+// core through Ops(n) and the other through n calls of Op, and requires
+// every field of the two cores to agree after each step and at the end.
+// Small ROBs and load buffers make the full-ROB and full-buffer paths common.
+func TestOpsMatchesOp(t *testing.T) {
+	cfgs := []Config{DefaultConfig(), {Width: 1, ROB: 1, LoadBuffer: 1}, {Width: 2, ROB: 5, LoadBuffer: 2}, {Width: 4, ROB: 16, LoadBuffer: 3}}
+	rng := rand.New(rand.NewSource(7))
+	for _, cfg := range cfgs {
+		for trial := 0; trial < 50; trial++ {
+			batch, single := New(cfg), New(cfg)
+			for step := 0; step < 200; step++ {
+				lat := uint64(rng.Intn(400))
+				switch rng.Intn(5) {
+				case 0:
+					batch.Load(fixedLatency(lat))
+					single.Load(fixedLatency(lat))
+				case 1:
+					batch.LoadAfter(fixedLatency(lat))
+					single.LoadAfter(fixedLatency(lat))
+				case 2:
+					batch.Store(fixedLatency(lat))
+					single.Store(fixedLatency(lat))
+				default:
+					n := rng.Intn(3 * cfg.ROB)
+					batch.Ops(n)
+					for i := 0; i < n; i++ {
+						single.Op()
+					}
+				}
+				if !reflect.DeepEqual(batch, single) {
+					t.Fatalf("%+v trial %d step %d: Ops core\n%+v\nOp core\n%+v", cfg, trial, step, *batch, *single)
+				}
+			}
+			if b, s := batch.IPC(), single.IPC(); b != s || !reflect.DeepEqual(batch, single) {
+				t.Fatalf("%+v trial %d: IPC %v (Ops) vs %v (Op), or the drained cores differ", cfg, trial, b, s)
+			}
+			if b, s := batch.Drain(), single.Drain(); b != s {
+				t.Fatalf("%+v trial %d: Drain %d (Ops) vs %d (Op)", cfg, trial, b, s)
+			}
+		}
+	}
 }
 
 func TestIdealIPCEqualsWidth(t *testing.T) {
@@ -110,8 +165,8 @@ func TestInstructionsCounted(t *testing.T) {
 	c.Ops(10)
 	c.Load(fixedLatency(5))
 	c.Store(fixedLatency(5))
-	if c.Instructions() != 12 {
-		t.Errorf("Instructions = %d, want 12", c.Instructions())
+	if c.instructions != 12 {
+		t.Errorf("instructions = %d, want 12", c.instructions)
 	}
 }
 

@@ -181,9 +181,6 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// Config returns the configuration this DRAM was built with.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // Access schedules one demand 64B line transfer arriving at cycle now and
 // returns the cycle at which the data transfer completes. The latency seen
 // by the requester is done-now.
@@ -261,11 +258,6 @@ func (d *DRAM) AccessPriority(now uint64, line memaddr.Line, write, demand bool)
 // cycle now — the value the memory controller broadcasts to all cores (§3.2).
 func (d *DRAM) Utilization(now uint64) bitpattern.Quartile {
 	return d.mon.Signal(now)
-}
-
-// UtilizationFraction returns the exact utilization fraction for reporting.
-func (d *DRAM) UtilizationFraction(now uint64) float64 {
-	return d.mon.Fraction(now)
 }
 
 // Stats returns a copy of the accumulated traffic counters.

@@ -129,7 +129,7 @@ func TestBandwidthSaturation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		last = d.Access(0, memaddr.Line(i*32*16), false) // all distinct rows
 	}
-	if min := uint64(n) * d.Config().BurstCycles(); last < min {
+	if min := uint64(n) * d.cfg.BurstCycles(); last < min {
 		t.Errorf("completion %d < bus-serialized minimum %d", last, min)
 	}
 }
@@ -232,7 +232,7 @@ func TestAvgBandwidth(t *testing.T) {
 		last = d.Access(0, memaddr.Line(i), false)
 	}
 	bw := d.AvgBandwidthGBps(last)
-	peak := d.Config().PeakBandwidthGBps()
+	peak := d.cfg.PeakBandwidthGBps()
 	if bw > peak*1.01 {
 		t.Errorf("delivered %v GB/s exceeds peak %v", bw, peak)
 	}

@@ -25,10 +25,6 @@ type Monitor struct {
 	nextHalve  uint64
 	lastSample uint64
 	signal     bitpattern.Quartile
-
-	// Sticky running statistics for reporting.
-	samples      uint64
-	quartileHist [4]uint64
 }
 
 // NewMonitor builds a bandwidth monitor for the given DRAM configuration.
@@ -54,22 +50,6 @@ func (m *Monitor) Signal(now uint64) bitpattern.Quartile {
 	return m.signal
 }
 
-// Fraction returns counter/peak as an exact fraction for reporting.
-func (m *Monitor) Fraction(now uint64) float64 {
-	m.advance(now)
-	if m.peak == 0 {
-		return 0
-	}
-	f := float64(m.counter) / float64(m.peak)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
-// QuartileHistogram returns how many tRC samples fell into each quartile.
-func (m *Monitor) QuartileHistogram() [4]uint64 { return m.quartileHist }
-
 // advance replays window halvings and tRC samplings up to cycle now. Once
 // the counter has decayed to zero, every remaining halving is a no-op and
 // every remaining sample reads Q0, so the replay completes in closed form —
@@ -79,7 +59,7 @@ func (m *Monitor) advance(now uint64) {
 		// Sample the signal at every tRC boundary inside the elapsed window.
 		for m.lastSample+m.sampleLen <= m.nextHalve {
 			m.lastSample += m.sampleLen
-			m.sample()
+			m.signal = bitpattern.QuartileOf(m.counter, m.peak)
 		}
 		m.counter >>= 1
 		m.nextHalve += m.windowLen
@@ -90,7 +70,7 @@ func (m *Monitor) advance(now uint64) {
 	}
 	for m.lastSample+m.sampleLen <= now {
 		m.lastSample += m.sampleLen
-		m.sample()
+		m.signal = bitpattern.QuartileOf(m.counter, m.peak)
 	}
 }
 
@@ -100,18 +80,10 @@ func (m *Monitor) advanceIdle(now uint64) {
 	if m.lastSample+m.sampleLen <= now {
 		n := (now - m.lastSample) / m.sampleLen
 		m.lastSample += n * m.sampleLen
-		m.samples += n
-		m.quartileHist[bitpattern.Q0] += n
 		m.signal = bitpattern.Q0
 	}
 	if m.nextHalve <= now {
 		k := (now-m.nextHalve)/m.windowLen + 1
 		m.nextHalve += k * m.windowLen
 	}
-}
-
-func (m *Monitor) sample() {
-	m.signal = bitpattern.QuartileOf(m.counter, m.peak)
-	m.samples++
-	m.quartileHist[m.signal]++
 }

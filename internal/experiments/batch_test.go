@@ -25,7 +25,7 @@ func batchJobs(t *testing.T, name string, refs int, pfs ...sim.PF) []Job {
 func TestBatchGroupingRunsOneBatch(t *testing.T) {
 	r := NewRunner(1)
 	jobs := batchJobs(t, "linpack", 700, sim.PFNone, sim.PFSPP, sim.PFBOP, sim.PFDSPatchSPP)
-	r.RunAll(jobs, 1)
+	r.RunAllCtx(context.Background(), jobs, 1)
 	c := r.Counters()
 	if c.Sims != 4 || c.Batches != 1 || c.MemoHits != 0 {
 		t.Fatalf("cold batched run counters: %+v", c)
@@ -34,7 +34,7 @@ func TestBatchGroupingRunsOneBatch(t *testing.T) {
 		t.Errorf("RefsSimulated = %d, want %d", c.RefsSimulated, 4*700)
 	}
 	// Every config is now memoized: a resubmission batches nothing.
-	r.RunAll(jobs, 1)
+	r.RunAllCtx(context.Background(), jobs, 1)
 	c = r.Counters()
 	if c.Sims != 4 || c.Batches != 1 || c.MemoHits != 4 {
 		t.Fatalf("warm rerun counters: %+v", c)
@@ -65,7 +65,7 @@ func TestBatchMatchesSerialResults(t *testing.T) {
 	jobs = append(jobs, mp, tinyJob(t, "mcf", 900, sim.PFSPP))
 
 	r := NewRunner(2)
-	got := r.RunAll(jobs, 2)
+	got, _ := r.RunAllCtx(context.Background(), jobs, 2)
 	if c := r.Counters(); c.Batches == 0 {
 		t.Fatalf("runner executed no batches: %+v", c)
 	}
@@ -117,13 +117,13 @@ func TestPanickingBatchDoesNotPoisonSiblings(t *testing.T) {
 
 	recovered := func() (p any) {
 		defer func() { p = recover() }()
-		r.RunAll([]Job{good, bad}, 1)
+		r.RunAllCtx(context.Background(), []Job{good, bad}, 1)
 		return nil
 	}()
 	if recovered == nil {
 		t.Fatal("expected the malformed LLC size to panic through the batch")
 	}
-	results := r.RunAll([]Job{good}, 1)
+	results, _ := r.RunAllCtx(context.Background(), []Job{good}, 1)
 	if results[0].IPC[0] <= 0 {
 		t.Fatalf("sibling entry poisoned by the panicking batch: %+v", results[0])
 	}
@@ -142,14 +142,14 @@ func TestBatchSkipsDiskCachedConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := batchJobs(t, "tpcc", 650, sim.PFNone)
-	warm.RunAll(seed, 1)
+	warm.RunAllCtx(context.Background(), seed, 1)
 
 	r := NewRunner(1)
 	if err := r.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	jobs := batchJobs(t, "tpcc", 650, sim.PFNone, sim.PFSPP, sim.PFBOP)
-	r.RunAll(jobs, 1)
+	r.RunAllCtx(context.Background(), jobs, 1)
 	c := r.Counters()
 	if c.DiskHits != 1 {
 		t.Errorf("DiskHits = %d, want 1", c.DiskHits)

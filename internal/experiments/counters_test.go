@@ -30,7 +30,7 @@ func TestCountersTrackSimsAndMemoHits(t *testing.T) {
 	if before != (Counters{}) {
 		t.Fatalf("fresh runner has non-zero counters: %+v", before)
 	}
-	r.RunAll([]Job{j}, 1)
+	r.RunAllCtx(context.Background(), []Job{j}, 1)
 	mid := r.Counters()
 	if mid.Sims != 1 || mid.MemoHits != 0 {
 		t.Fatalf("after cold run: %+v", mid)
@@ -41,7 +41,7 @@ func TestCountersTrackSimsAndMemoHits(t *testing.T) {
 	if mid.SimNanos == 0 {
 		t.Error("SimNanos not accounted")
 	}
-	r.RunAll([]Job{j, j}, 1)
+	r.RunAllCtx(context.Background(), []Job{j, j}, 1)
 	after := r.Counters()
 	if after.Sims != 1 {
 		t.Errorf("memoized re-run simulated again: Sims = %d", after.Sims)
@@ -52,22 +52,23 @@ func TestCountersTrackSimsAndMemoHits(t *testing.T) {
 }
 
 func TestCountersDiskHit(t *testing.T) {
+	dir := t.TempDir()
 	r := NewRunner(1)
-	if err := r.SetCacheDir(t.TempDir()); err != nil {
+	if err := r.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	j := tinyJob(t, "tpcc", 600, sim.PFNone)
-	r.RunAll([]Job{j}, 1)
+	r.RunAllCtx(context.Background(), []Job{j}, 1)
 	if c := r.Counters(); c.Sims != 1 || c.DiskHits != 0 {
 		t.Fatalf("cold run counters: %+v", c)
 	}
 	// A fresh runner sharing the cache dir models a second process: the run
 	// must be served from disk without simulating.
 	r2 := NewRunner(1)
-	if err := r2.SetCacheDir(r.cacheDir); err != nil {
+	if err := r2.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	r2.RunAll([]Job{j}, 1)
+	r2.RunAllCtx(context.Background(), []Job{j}, 1)
 	if c := r2.Counters(); c.Sims != 0 || c.DiskHits != 1 {
 		t.Fatalf("disk-served run counters: %+v", c)
 	}
@@ -139,7 +140,7 @@ func TestPanickingRunDoesNotPoisonMemo(t *testing.T) {
 
 	mustPanic := func() (recovered any) {
 		defer func() { recovered = recover() }()
-		r.RunAll([]Job{bad}, 1)
+		r.RunAllCtx(context.Background(), []Job{bad}, 1)
 		return nil
 	}
 	if first := mustPanic(); first == nil {

@@ -113,9 +113,10 @@ func EngineStore() ResultStore {
 // (empty when the disk cache is disabled or backed by a non-directory
 // store).
 func CacheDir() string {
-	engine.mu.Lock()
-	defer engine.mu.Unlock()
-	return engine.cacheDir
+	if ds, ok := EngineStore().(*DirStore); ok {
+		return ds.Dir()
+	}
+	return ""
 }
 
 // SetCacheDir enables the persistent run cache on this runner.
@@ -136,19 +137,8 @@ func (r *Runner) SetCacheDir(dir string) error {
 // and re-arms cache writes: a backend disabled by write failures stays
 // disabled only until a new store is configured.
 func (r *Runner) SetResultStore(s ResultStore) {
-	dir := ""
-	if ds, ok := s.(*DirStore); ok {
-		dir = ds.Dir()
-	}
 	r.mu.Lock()
 	r.store = s
-	r.cacheDir = dir
 	r.mu.Unlock()
 	r.cacheWriteOff.Store(false)
-}
-
-// CacheWritesDisabled reports whether a write failure has disabled this
-// runner's cache writes (reads continue regardless).
-func (r *Runner) CacheWritesDisabled() bool {
-	return r.cacheWriteOff.Load()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -46,14 +47,14 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err := r1.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	fresh := r1.RunAll([]Job{job}, 1)[0]
+	fresh := runOne(r1, job)
 
 	// A clean second runner must reproduce the result exactly from disk.
 	r2 := NewRunner(1)
 	if err := r2.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.RunAll([]Job{job}, 1)[0]; !reflect.DeepEqual(got, fresh) {
+	if got := runOne(r2, job); !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("cached result differs from fresh: %+v vs %+v", got, fresh)
 	}
 
@@ -75,7 +76,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 	r3 := NewRunner(1)
 	r3.SetCacheDir(dir)
-	if got := r3.RunAll([]Job{job}, 1)[0]; got.Cycles != fresh.Cycles+1 {
+	if got := runOne(r3, job); got.Cycles != fresh.Cycles+1 {
 		t.Fatalf("runner did not serve the disk entry: Cycles = %d, want %d", got.Cycles, fresh.Cycles+1)
 	}
 }
@@ -87,7 +88,7 @@ func TestDiskCacheCorruptFallback(t *testing.T) {
 	job := cacheTestJob(t)
 	r1 := NewRunner(1)
 	r1.SetCacheDir(dir)
-	fresh := r1.RunAll([]Job{job}, 1)[0]
+	fresh := runOne(r1, job)
 
 	path := entryFile(t, dir)
 	if err := os.WriteFile(path, []byte("definitely not an entry"), 0o644); err != nil {
@@ -95,7 +96,7 @@ func TestDiskCacheCorruptFallback(t *testing.T) {
 	}
 	r2 := NewRunner(1)
 	r2.SetCacheDir(dir)
-	if got := r2.RunAll([]Job{job}, 1)[0]; !reflect.DeepEqual(got, fresh) {
+	if got := runOne(r2, job); !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("corrupt-entry fallback produced a different result")
 	}
 	// The entry was rewritten and now decodes at the current version.
@@ -116,7 +117,7 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 	job := cacheTestJob(t)
 	r1 := NewRunner(1)
 	r1.SetCacheDir(dir)
-	fresh := r1.RunAll([]Job{job}, 1)[0]
+	fresh := runOne(r1, job)
 
 	path := entryFile(t, dir)
 	key := JobID(job).String()
@@ -126,7 +127,7 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 
 	r2 := NewRunner(1)
 	r2.SetCacheDir(dir)
-	if got := r2.RunAll([]Job{job}, 1)[0]; !reflect.DeepEqual(got, fresh) {
+	if got := runOne(r2, job); !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("version-mismatched entry was served instead of re-simulated")
 	}
 	data, _ := os.ReadFile(path)
@@ -140,15 +141,15 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 func TestDiskCacheDisabledIdentical(t *testing.T) {
 	dir := t.TempDir()
 	job := cacheTestJob(t)
-	off := NewRunner(1).RunAll([]Job{job}, 1)[0]
+	off := runOne(NewRunner(1), job)
 	r := NewRunner(1)
 	r.SetCacheDir(dir)
-	on := r.RunAll([]Job{job}, 1)[0]
+	on := runOne(r, job)
 	if !reflect.DeepEqual(off, on) {
 		t.Fatal("cache-enabled result differs from cache-disabled result")
 	}
 	plain := NewRunner(1)
-	plain.RunAll([]Job{job}, 1)
+	plain.RunAllCtx(context.Background(), []Job{job}, 1)
 	files, _ := filepath.Glob(filepath.Join(t.TempDir(), "*"))
 	if len(files) != 0 {
 		t.Fatalf("disabled cache wrote files: %v", files)
@@ -231,7 +232,7 @@ func TestDiskCacheUnwritableDegradesGracefully(t *testing.T) {
 	if err := r1.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	fresh := r1.RunAll([]Job{job}, 1)[0]
+	fresh := runOne(r1, job)
 
 	// Second job: distinct config, so its entry is missing from the cache.
 	job2 := cacheTestJob(t)
@@ -259,7 +260,7 @@ func TestDiskCacheUnwritableDegradesGracefully(t *testing.T) {
 
 	// Two cold runs against the broken backend: both must succeed, the
 	// warning must fire exactly once, and writes must be off afterwards.
-	got := r1.RunAll([]Job{job2, {Workloads: job2.Workloads, Opt: func() sim.Options {
+	got, _ := r1.RunAllCtx(context.Background(), []Job{job2, {Workloads: job2.Workloads, Opt: func() sim.Options {
 		o := job2.Opt
 		o.Refs = 3_200
 		return o
@@ -267,7 +268,7 @@ func TestDiskCacheUnwritableDegradesGracefully(t *testing.T) {
 	if len(got[0].IPC) == 0 || got[0].Cycles == 0 {
 		t.Fatalf("run against unwritable cache produced a degenerate result: %+v", got[0])
 	}
-	if !r1.CacheWritesDisabled() {
+	if !r1.cacheWriteOff.Load() {
 		t.Fatal("cache writes not disabled after a write failure")
 	}
 	mu.Lock()
@@ -280,7 +281,7 @@ func TestDiskCacheUnwritableDegradesGracefully(t *testing.T) {
 	// Read path unaffected: a fresh runner over a healthy copy of the cache
 	// still serves the first job from disk, and the degraded runner keeps
 	// simulating correctly (memo hit here, since r1 already ran job).
-	if got := r1.RunAll([]Job{job}, 1)[0]; !reflect.DeepEqual(got, fresh) {
+	if got := runOne(r1, job); !reflect.DeepEqual(got, fresh) {
 		t.Fatal("degraded runner no longer reproduces earlier results")
 	}
 
@@ -289,7 +290,7 @@ func TestDiskCacheUnwritableDegradesGracefully(t *testing.T) {
 	if err := r1.SetCacheDir(good); err != nil {
 		t.Fatal(err)
 	}
-	if r1.CacheWritesDisabled() {
+	if r1.cacheWriteOff.Load() {
 		t.Fatal("SetCacheDir did not re-arm cache writes")
 	}
 }
@@ -330,7 +331,7 @@ func TestDirStoreAndJobKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0 := r.Counters()
-	if got := r.RunAll([]Job{job}, 1)[0]; !reflect.DeepEqual(got, want) {
+	if got := runOne(r, job); !reflect.DeepEqual(got, want) {
 		t.Fatalf("engine did not serve the DirStore entry: %+v", got)
 	}
 	if c1 := r.Counters(); c1.DiskHits-c0.DiskHits != 1 || c1.Sims != c0.Sims {
@@ -397,13 +398,13 @@ func TestPollutionRunRoundTripsStores(t *testing.T) {
 	}
 	r1 := NewRunner(1)
 	r1.SetResultStore(st)
-	fresh := r1.RunAll([]Job{job}, 1)[0]
+	fresh := runOne(r1, job)
 	if fresh.Pollution == ([3]float64{}) {
 		t.Fatal("pollution-tracking run reported no pollution fractions")
 	}
 	r2 := NewRunner(1)
 	r2.SetResultStore(st)
-	got := r2.RunAll([]Job{job}, 1)[0]
+	got := runOne(r2, job)
 	if c := r2.Counters(); c.Sims != 0 || c.DiskHits != 1 {
 		t.Errorf("second runner counters %+v, want one store hit and no sims", c)
 	}

@@ -212,7 +212,7 @@ func TestStoresKeepNonFiniteFloats(t *testing.T) {
 	r := NewRunner(1)
 	r.SetResultStore(ds)
 	r.cachePut(ds, "non-finite", want)
-	if r.CacheWritesDisabled() {
+	if r.cacheWriteOff.Load() {
 		t.Fatal("a non-finite result disabled cache writes")
 	}
 	if got, ok := ds.Get("non-finite"); !ok || !sameBits(got, want) {

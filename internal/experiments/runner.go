@@ -142,10 +142,9 @@ type Counters struct {
 type Runner struct {
 	workers int
 
-	mu       sync.Mutex
-	memo     map[runKey]*memoEntry
-	store    ResultStore // non-nil: persistent run cache backend (diskcache.go)
-	cacheDir string      // directory label when store is a DirStore
+	mu    sync.Mutex
+	memo  map[runKey]*memoEntry
+	store ResultStore // non-nil: persistent run cache backend (diskcache.go)
 
 	// cacheWriteOff latches after the first failed store write: the backend
 	// is degraded (disk full, permissions), so further writes are skipped
@@ -180,13 +179,6 @@ func ResetMemo() {
 	engine.mu.Lock()
 	engine.memo = map[runKey]*memoEntry{}
 	engine.mu.Unlock()
-}
-
-// MemoLen reports how many runs the shared engine currently caches.
-func MemoLen() int {
-	engine.mu.Lock()
-	defer engine.mu.Unlock()
-	return len(engine.memo)
 }
 
 // EngineCounters snapshots the shared engine's work ledger.
@@ -240,15 +232,6 @@ func canceledResult(j Job) sim.Result {
 	return sim.Result{IPC: make([]float64, len(j.Workloads))}
 }
 
-// RunAll executes jobs across a pool of the given width (<= 0 means the
-// Runner's default) and returns results in submission order: results[i] is
-// jobs[i]'s outcome regardless of scheduling, so parallel and serial runs
-// aggregate bit-identically.
-func (r *Runner) RunAll(jobs []Job, workers int) []sim.Result {
-	results, _ := r.RunAllCtx(context.Background(), jobs, workers)
-	return results
-}
-
 // maxBatchConfigs bounds how many machine configurations one lockstep batch
 // carries. Beyond this the machines' combined hot state stops fitting in
 // cache and the batch degrades toward serial speed, so larger groups are
@@ -287,10 +270,13 @@ func plan(keys []runKey) [][]int {
 	return tasks
 }
 
-// RunAllCtx is RunAll under a context: when ctx fires, in-flight simulations
-// abort at their next cancellation check, every not-yet-run job is filled
-// with canceledResult, and the first context error is returned. Results of
-// jobs that completed before the cancellation are exact.
+// RunAllCtx executes jobs across a pool of the given width (<= 0 means the
+// Runner's default) and returns results in submission order: results[i] is
+// jobs[i]'s outcome regardless of scheduling, so parallel and serial runs
+// aggregate bit-identically. When ctx fires, in-flight simulations abort at
+// their next cancellation check, every not-yet-run job is filled with
+// canceledResult, and the first context error is returned. Results of jobs
+// that completed before the cancellation are exact.
 func (r *Runner) RunAllCtx(ctx context.Context, jobs []Job, workers int) ([]sim.Result, error) {
 	if workers <= 0 {
 		workers = r.workers

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -48,8 +49,8 @@ func TestRunAllPreservesJobOrder(t *testing.T) {
 		jobs[i] = SingleJob(w, opt)
 	}
 	r := NewRunner(0)
-	serial := r.RunAll(jobs, 1)
-	parallel := NewRunner(0).RunAll(jobs, 8)
+	serial, _ := r.RunAllCtx(context.Background(), jobs, 1)
+	parallel, _ := NewRunner(0).RunAllCtx(context.Background(), jobs, 8)
 	for i := range jobs {
 		if !eqFloats(serial[i].IPC, parallel[i].IPC) {
 			t.Errorf("job %d (%s): parallel IPC %v != serial %v",
@@ -59,7 +60,10 @@ func TestRunAllPreservesJobOrder(t *testing.T) {
 }
 
 // runOne runs a single job on r, serially.
-func runOne(r *Runner, j Job) sim.Result { return r.RunAll([]Job{j}, 1)[0] }
+func runOne(r *Runner, j Job) sim.Result {
+	results, _ := r.RunAllCtx(context.Background(), []Job{j}, 1)
+	return results[0]
+}
 
 func TestRunMemoization(t *testing.T) {
 	w := trace.Workloads()[0]
@@ -179,21 +183,23 @@ func TestParallelSerialEquivalence(t *testing.T) {
 // between figures that share a machine configuration.
 func TestMemoSharedAcrossFigures(t *testing.T) {
 	ResetMemo()
+	base := EngineCounters().Sims
+	sims := func() uint64 { return EngineCounters().Sims - base }
 	s := tiny()
 	Fig4(s)
-	after4 := MemoLen()
+	after4 := sims()
 	if after4 == 0 {
 		t.Fatal("Fig4 should memoize its runs")
 	}
 	// Rerunning the same figure simulates nothing new.
 	Fig4(s)
-	if got := MemoLen(); got != after4 {
-		t.Errorf("rerunning Fig4 grew the memo from %d to %d", after4, got)
+	if got := sims(); got != after4 {
+		t.Errorf("rerunning Fig4 simulated again: %d runs, then %d", after4, got)
 	}
 	// Fig12 shares Fig4's baselines and BOP/SMS/SPP runs; only its DSPatch
 	// and DSPatch+SPP points are new.
 	Fig12(s)
-	after12 := MemoLen()
+	after12 := sims()
 	if after12 <= after4 {
 		t.Errorf("Fig12 should add its DSPatch runs to the memo (%d -> %d)", after4, after12)
 	}
@@ -201,7 +207,7 @@ func TestMemoSharedAcrossFigures(t *testing.T) {
 		t.Errorf("Fig12 added %d entries to %d; expected reuse of the shared runs", added, after4)
 	}
 	Fig12(s)
-	if got := MemoLen(); got != after12 {
-		t.Errorf("rerunning Fig12 grew the memo from %d to %d", after12, got)
+	if got := sims(); got != after12 {
+		t.Errorf("rerunning Fig12 simulated again: %d runs, then %d", after12, got)
 	}
 }

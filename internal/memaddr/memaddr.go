@@ -37,12 +37,6 @@ type PC uint64
 // LineOf returns the cache-line address containing a.
 func LineOf(a Addr) Line { return Line(a >> LineShift) }
 
-// PageOf returns the physical page number containing a.
-func PageOf(a Addr) Page { return Page(a >> PageShift) }
-
-// LineAddr returns the byte address of the first byte of line l.
-func (l Line) Addr() Addr { return Addr(l) << LineShift }
-
 // Page returns the page containing line l.
 func (l Line) Page() Page { return Page(l >> (PageShift - LineShift)) }
 
@@ -54,9 +48,6 @@ func (l Line) SegOffset() int { return int(l) & (LinesSeg - 1) }
 
 // Segment returns 0 if line l lies in the first 2KB of its page, 1 otherwise.
 func (l Line) Segment() int { return (int(l) >> (SegShift - LineShift)) & 1 }
-
-// Addr returns the byte address of the first byte of page p.
-func (p Page) Addr() Addr { return Addr(p) << PageShift }
 
 // Line returns the cache-line address of line offset off within page p.
 // off must be in [0, LinesPage).

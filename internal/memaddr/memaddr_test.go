@@ -53,8 +53,8 @@ func TestPageOf(t *testing.T) {
 		{0x12345678, 0x12345},
 	}
 	for _, tt := range tests {
-		if got := PageOf(tt.addr); got != tt.want {
-			t.Errorf("PageOf(%#x) = %d, want %d", tt.addr, got, tt.want)
+		if got := LineOf(tt.addr).Page(); got != tt.want {
+			t.Errorf("LineOf(%#x).Page() = %d, want %d", tt.addr, got, tt.want)
 		}
 	}
 }
@@ -86,9 +86,9 @@ func TestLineOffsets(t *testing.T) {
 func TestRoundTripLineAddr(t *testing.T) {
 	f := func(raw uint64) bool {
 		a := Addr(raw)
-		l := LineOf(a)
+		base := Addr(LineOf(a)) << LineShift
 		// The line's base address must cover a.
-		return l.Addr() <= a && a < l.Addr()+LineBytes
+		return base <= a && a < base+LineBytes
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -70,34 +70,6 @@ type CoverageStats struct {
 	Writebacks uint64
 }
 
-// Coverage returns covered / (covered + uncovered): the fraction of
-// would-be memory accesses the prefetcher saved.
-func (s CoverageStats) Coverage() float64 {
-	den := s.Covered + s.Uncovered
-	if den == 0 {
-		return 0
-	}
-	return float64(s.Covered) / float64(den)
-}
-
-// MispredictionRate returns unused DRAM prefetches normalized to the same
-// denominator as Coverage, matching the stacked bars of Fig. 16.
-func (s CoverageStats) MispredictionRate(unused uint64) float64 {
-	den := s.Covered + s.Uncovered
-	if den == 0 {
-		return 0
-	}
-	return float64(unused) / float64(den)
-}
-
-// Accuracy returns useful / issued prefetches.
-func (s CoverageStats) Accuracy(useful, unused uint64) float64 {
-	if useful+unused == 0 {
-		return 0
-	}
-	return float64(useful) / float64(useful+unused)
-}
-
 // System is one simulated machine: shared LLC + DRAM plus per-core ports.
 type System struct {
 	cfg   Config
@@ -206,7 +178,6 @@ type Port struct {
 	stats         CoverageStats
 	prefUseful    uint64
 	prefUsefulLLC uint64
-	prefUsefulL1  uint64 // first uses of L1-stride-prefetched lines
 
 	// lastWasPrefetchHit carries the prefetched-hit flag from fetchDemand to
 	// the L2 trainer invocation in Access (BOP trains on prefetched hits).
@@ -242,9 +213,6 @@ func (p *Port) L1() *cache.Cache { return p.l1 }
 
 // L2 returns the port's L2 cache (for inspection).
 func (p *Port) L2() *cache.Cache { return p.l2 }
-
-// SharedLLC returns the system's shared last-level cache (for inspection).
-func (p *Port) SharedLLC() *cache.Cache { return p.sys.llc }
 
 // L2Prefetcher returns the attached L2 prefetcher, if any.
 func (p *Port) L2Prefetcher() prefetch.Prefetcher { return p.l2pf }
@@ -309,9 +277,6 @@ func (p *Port) Access(now uint64, pc memaddr.PC, line memaddr.Line, write bool) 
 		// (the tag is installed at issue; see issuePrefetches).
 		if ready, ok := p.inflight.lookup(line); ok && ready > done {
 			done = p.mergeWait(now, ready)
-		}
-		if r1.FirstUseOfPrefetch {
-			p.prefUsefulL1++
 		}
 		return done
 	}

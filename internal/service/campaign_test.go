@@ -227,3 +227,70 @@ func TestCampaignStreamRetentionCap(t *testing.T) {
 		t.Fatalf("retained stream: %d records, err %v", len(recs), err)
 	}
 }
+
+// TestCampaignFeedWakesBlockedFollower blocks a follower in next before each
+// append: every append must close the channel the follower holds, and the
+// follower must then read exactly the appended record.
+func TestCampaignFeedWakesBlockedFollower(t *testing.T) {
+	const n = 50
+	f := &campaignFeed{}
+	blocked := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			recs, changed := f.next(i)
+			if len(recs) != 0 {
+				errc <- errors.New("record readable before its append")
+				return
+			}
+			blocked <- struct{}{}
+			select {
+			case <-changed:
+			case <-time.After(10 * time.Second):
+				errc <- errors.New("follower not woken by append")
+				return
+			}
+			if recs, _ = f.next(i); len(recs) != 1 || string(recs[0]) != string(rune('a'+i%26)) {
+				errc <- errors.New("follower read the wrong records after a wake-up")
+				return
+			}
+		}
+		errc <- nil
+	}()
+	for i := 0; i < n; i++ {
+		select {
+		case <-blocked:
+		case err := <-errc:
+			t.Fatalf("before append %d: %v", i, err)
+		}
+		f.append(json.RawMessage(string(rune('a' + i%26))))
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCampaignFeedAppendWithoutFollowerAllocatesNoChannel: with nobody
+// waiting, an append only stores its record; the broadcast channel is made
+// when a caught-up follower asks for one and closed by the append after.
+func TestCampaignFeedAppendWithoutFollowerAllocatesNoChannel(t *testing.T) {
+	const runs = 100
+	f := &campaignFeed{recs: make([]json.RawMessage, 0, 2*runs+2)}
+	rec := json.RawMessage(`{}`)
+	if allocs := testing.AllocsPerRun(runs, func() { f.append(rec) }); allocs != 0 {
+		t.Errorf("append with no follower: %.1f allocations, want 0", allocs)
+	}
+	if f.changed != nil {
+		t.Fatal("append with no follower made a broadcast channel")
+	}
+	_, changed := f.next(len(f.recs))
+	f.append(rec)
+	select {
+	case <-changed:
+	default:
+		t.Fatal("append did not close the channel a follower took")
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { f.append(rec) }); allocs != 0 {
+		t.Errorf("append after the follower's wake-up: %.1f allocations, want 0", allocs)
+	}
+}

@@ -146,12 +146,11 @@ type Injector struct {
 	// os.Exit(137)); tests override it.
 	ExitFn func()
 
-	mu        sync.Mutex
-	faults    []Fault
-	dispatch  int  // POST /v1/runs ordinal
-	killed    bool // KindKill fired: every request is now blackholed
-	shedding  int  // remaining KindShed burst
-	hangUntil chan struct{}
+	mu       sync.Mutex
+	faults   []Fault
+	dispatch int  // POST /v1/runs ordinal
+	killed   bool // KindKill fired: every request is now blackholed
+	shedding int  // remaining KindShed burst
 }
 
 // NewInjector builds the middleware for a worker labeled worker, applying
@@ -237,13 +236,6 @@ func (inj *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	inj.mu.Unlock()
 	inj.next.ServeHTTP(w, r)
-}
-
-// Killed reports whether a KindKill fault has fired.
-func (inj *Injector) Killed() bool {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.killed
 }
 
 // blackhole terminates the connection without writing a response: the client

@@ -222,24 +222,23 @@ const (
 )
 
 // campaignFeed accumulates a running campaign's NDJSON records and lets
-// streaming readers block for the next append. changed is closed and
-// replaced on every append (a broadcast).
+// streaming readers block for the next append. changed is the broadcast
+// channel the next append closes; next makes it only when a caught-up reader
+// asks, so appends nobody waits for allocate nothing.
 type campaignFeed struct {
 	mu      sync.Mutex
 	recs    []json.RawMessage
-	changed chan struct{}
+	changed chan struct{} // nil until next hands one out
 	evicted bool
-}
-
-func newCampaignFeed() *campaignFeed {
-	return &campaignFeed{changed: make(chan struct{})}
 }
 
 func (f *campaignFeed) append(rec json.RawMessage) {
 	f.mu.Lock()
 	f.recs = append(f.recs, rec)
-	close(f.changed)
-	f.changed = make(chan struct{})
+	if f.changed != nil {
+		close(f.changed)
+		f.changed = nil
+	}
 	f.mu.Unlock()
 }
 
@@ -258,15 +257,18 @@ func (f *campaignFeed) isEvicted() bool {
 	return f.evicted
 }
 
-// next returns the records past from, plus a channel that closes on the next
-// append (only meaningful when no new records were returned).
+// next returns the records past from or, when there are none, a channel that
+// closes on the next append.
 func (f *campaignFeed) next(from int) ([]json.RawMessage, <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if from > len(f.recs) {
-		from = len(f.recs)
+	if from < len(f.recs) {
+		return f.recs[from:], nil
 	}
-	return f.recs[from:], f.changed
+	if f.changed == nil {
+		f.changed = make(chan struct{})
+	}
+	return nil, f.changed
 }
 
 // job is one unit of work and its record. Mutable state is guarded by mu;
@@ -610,7 +612,7 @@ func (s *Server) resumeJournals() {
 		j := &job{
 			kind:       kindCampaign,
 			camp:       &camp,
-			feed:       newCampaignFeed(),
+			feed:       &campaignFeed{},
 			resumePath: path,
 			status:     StatusQueued,
 			submitted:  time.Now(),
@@ -1110,7 +1112,7 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	j := &job{kind: kindCampaign, camp: &spec, feed: newCampaignFeed()}
+	j := &job{kind: kindCampaign, camp: &spec, feed: &campaignFeed{}}
 	s.submit(w, j)
 }
 

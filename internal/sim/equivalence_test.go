@@ -49,18 +49,15 @@ func snapshot(m *machine) resultSnapshot {
 		AvgBandwidthGBps: r.AvgBandwidthGBps,
 		Pollution:        r.Pollution,
 		Prefetchers:      r.Prefetchers,
+		LLCStats:         m.sys.LLC().Stats(),
 	}
-	for i, l := range m.lanes {
+	for _, l := range m.lanes {
 		p := l.ad.port
 		s.PortStats = append(s.PortStats, p.Stats())
 		s.Useful = append(s.Useful, p.UsefulPrefetches())
 		s.Unused = append(s.Unused, p.UnusedPrefetches())
 		s.L1Stats = append(s.L1Stats, p.L1().Stats())
 		s.L2Stats = append(s.L2Stats, p.L2().Stats())
-		if i == 0 {
-			// The LLC is shared; record it once.
-			s.LLCStats = p.SharedLLC().Stats()
-		}
 		if d := FindDSPatch(p.L2Prefetcher()); d != nil {
 			s.DSPatchHit = append(s.DSPatchHit, d.Stats().Triggers)
 		}

@@ -91,13 +91,11 @@ type SPP struct {
 
 	// Prefetch filter: tracks recently issued prefetch lines both to
 	// suppress duplicates and to estimate global accuracy (the 10b feedback).
-	filter     []memaddr.Line
-	filterSet  []bool
-	issued     uint64
-	useful     uint64
-	enhanced   bool
-	name       string
-	lowPronoun bool
+	filter    []memaddr.Line
+	filterSet []bool
+	issued    uint64
+	useful    uint64
+	name      string
 
 	stMask uint64 // STEntries-1; table indexing runs on every training event
 	ptMask uint64 // PTEntries-1

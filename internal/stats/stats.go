@@ -65,19 +65,3 @@ func GeomeanSpeedupPct(ratios []float64) float64 {
 	}
 	return SpeedupPct(Geomean(kept))
 }
-
-// Normalize scales xs so they sum to 1 (no-op on a zero vector).
-func Normalize(xs []float64) []float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	out := make([]float64, len(xs))
-	if sum == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / sum
-	}
-	return out
-}

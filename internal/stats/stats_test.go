@@ -104,14 +104,3 @@ func TestGeomeanSpeedupPctSkipsDegenerate(t *testing.T) {
 		t.Error("empty input should aggregate to NaN")
 	}
 }
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{1, 3})
-	if out[0] != 0.25 || out[1] != 0.75 {
-		t.Errorf("Normalize = %v", out)
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Normalize zero vector = %v", zero)
-	}
-}

@@ -185,10 +185,9 @@ func FuzzParseSpecs(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ResetShared()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		specs, err := ParseSpecs(data)
-		if err != nil {
-			return
-		}
 		var accepted []ScenarioSpec
 		for _, s := range specs {
 			if s.Kind == KindTrace && s.Trace != nil && s.Trace.Path != "" {
@@ -206,6 +205,22 @@ func FuzzParseSpecs(f *testing.F) {
 				t.Fatalf("registered spec %q is not in the roster", s.Name)
 			}
 			accepted = append(accepted, s)
+		}
+		runtime.ReadMemStats(&after)
+		// Registration builds no generator (a spec's sizes, such as pointer
+		// nodes or page pools, cost memory only when a stream is recorded),
+		// so parsing and registering allocate the decoded specs and their
+		// fingerprints, linear in the input. The densest input, an array of
+		// empty objects, decodes every 3 bytes into a 112-byte ScenarioSpec
+		// and the decoder's slice growth copies them again: about 190 bytes
+		// per input byte at 1 MB. The one payload that grows on registration
+		// is an inline trace, decoded and validated eagerly; Import caps its
+		// ref count at one per 6 body bytes, so its stream is linear too.
+		if bound := uint64(1<<20 + 512*len(data)); !raceEnabled && after.TotalAlloc-before.TotalAlloc > bound {
+			t.Fatalf("parsing and registering %d input bytes allocated %d, bound %d", len(data), after.TotalAlloc-before.TotalAlloc, bound)
+		}
+		if err != nil {
+			return
 		}
 		n := len(Workloads())
 		for _, s := range accepted {

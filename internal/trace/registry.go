@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -179,18 +178,6 @@ func (r *Registry) All() []Workload {
 	out := make([]Workload, len(r.list))
 	copy(out, r.list)
 	return out
-}
-
-// Names returns the sorted roster names.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	names := make([]string, len(r.list))
-	for i, w := range r.list {
-		names[i] = w.Name
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }
 
 // Reset restores the registry to the builtin roster, dropping every spec

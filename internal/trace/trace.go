@@ -124,14 +124,13 @@ type DeltaSeriesConfig struct {
 }
 
 type deltaGen struct {
-	cfg   DeltaSeriesConfig
-	rng   *rand.Rand
-	g     gapper
-	page  memaddr.Page
-	off   int
-	step  int
-	pc    memaddr.PC
-	pages int
+	cfg  DeltaSeriesConfig
+	rng  *rand.Rand
+	g    gapper
+	page memaddr.Page
+	off  int
+	step int
+	pc   memaddr.PC
 }
 
 // NewDeltaSeries builds a repeating-delta generator.
