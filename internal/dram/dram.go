@@ -85,8 +85,15 @@ func (c Config) PeakCASPerWindow() int {
 	return int(window/c.BurstCycles()) * c.Channels
 }
 
-func (c Config) String() string {
-	return strconv.Itoa(c.Channels) + "ch-DDR4-" + strconv.Itoa(c.MTps)
+// String names the configuration by channels and speed grade, as the
+// bandwidth figures label it: "1ch-DDR4-2133".
+func (c Config) String() string { return string(c.AppendName(nil)) }
+
+// AppendName appends String's name to b.
+func (c Config) AppendName(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(c.Channels), 10)
+	b = append(b, "ch-DDR4-"...)
+	return strconv.AppendInt(b, int64(c.MTps), 10)
 }
 
 // bank tracks one DRAM bank's row buffer and availability. Column accesses

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"log"
 	"strconv"
 
+	"dspatch/internal/dram"
 	"dspatch/internal/sim"
 )
 
@@ -38,14 +40,29 @@ import (
 
 // keyString renders every runKey field in a stable, self-describing form.
 // It is the ResultStore key; DirStore hashes it into the content address.
-// trackPollution renders only when set, so keys of pollution-free runs are
-// the strings earlier builds wrote and their stored entries still hit.
-func (k runKey) keyString() string {
-	b := make([]byte, 0, 128+len(k.names))
+// trackPollution renders only when set, and a DRAM configuration only as its
+// name when it is the stock DDR4 machine of that name, so keys of the runs
+// every figure and campaign make are the strings earlier builds wrote and
+// their stored entries still hit.
+func (k *runKey) keyString() string {
+	var buf [keyBufLen]byte
+	return string(k.appendKey(buf[:0]))
+}
+
+// keyBufLen sizes the stack buffers run keys are rendered into: a key of
+// a few lanes fits.
+const keyBufLen = 256
+
+// appendKey appends k's keyString rendering to b.
+func (k *runKey) appendKey(b []byte) []byte {
 	b = append(b, "names="...)
 	b = strconv.AppendQuote(b, k.names)
 	b = append(b, " dram="...)
-	b = append(b, k.dram.String()...)
+	b = k.dram.AppendName(b)
+	if k.dram != dram.DDR4(k.dram.Channels, k.dram.MTps) {
+		type fields dram.Config // every field by name, not Config.String's name
+		b = fmt.Appendf(b, "%+v", fields(k.dram))
+	}
 	b = append(b, " llc="...)
 	b = strconv.AppendInt(b, int64(k.llcBytes), 10)
 	b = append(b, " refs="...)
@@ -53,7 +70,7 @@ func (k runKey) keyString() string {
 	b = append(b, " seed="...)
 	b = strconv.AppendInt(b, k.seed, 10)
 	b = append(b, " l2="...)
-	b = append(b, k.l2...)
+	b = append(b, sim.AllPFs[k.l2]...)
 	b = append(b, " nol1="...)
 	b = strconv.AppendBool(b, k.noL1Stride)
 	b = append(b, " smspht="...)
@@ -63,7 +80,7 @@ func (k runKey) keyString() string {
 	if k.trackPollution {
 		b = append(b, " pollution=true"...)
 	}
-	return string(b)
+	return b
 }
 
 // logWarnf receives the engine's rare operational warnings (one line when

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dspatch/internal/sim"
 	"dspatch/internal/trace"
@@ -66,7 +67,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := JobID(job).String()
-	res, ok := decodeEntry(data, key)
+	res, ok := decodeEntry(data, []byte(key))
 	if !ok {
 		t.Fatal("stored entry does not decode")
 	}
@@ -104,7 +105,7 @@ func TestDiskCacheCorruptFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := decodeEntry(data, JobID(job).String()); !ok || !reflect.DeepEqual(got, fresh) {
+	if got, ok := decodeEntry(data, []byte(JobID(job).String())); !ok || !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("entry not rewritten after corruption: ok=%t", ok)
 	}
 }
@@ -131,7 +132,7 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 		t.Fatalf("version-mismatched entry was served instead of re-simulated")
 	}
 	data, _ := os.ReadFile(path)
-	if got, ok := decodeEntry(data, key); !ok || !reflect.DeepEqual(got, fresh) {
+	if got, ok := decodeEntry(data, []byte(key)); !ok || !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("entry not restamped: ok=%t", ok)
 	}
 }
@@ -204,7 +205,7 @@ func TestDiskCacheNoTornReads(t *testing.T) {
 			t.Errorf("read during concurrent writes: %v", err)
 			break
 		}
-		if _, ok := decodeEntry(data, key.keyString()); !ok {
+		if _, ok := decodeEntry(data, []byte(key.keyString())); !ok {
 			t.Errorf("torn or corrupt read after %d clean reads: %d bytes", reads, len(data))
 			break
 		}
@@ -383,6 +384,72 @@ func TestKeyStringPinned(t *testing.T) {
 	scenario := Job{Workloads: []trace.Workload{w, builtin.Workloads[0]}, Opt: opt}
 	if got, want := JobID(scenario).String(), `names="key-pin-chase\x01spec-dd3b9a8b61322f57\x00linpack" dram=2ch-DDR4-2133 llc=8388608 refs=5000 seed=3 l2=spp nol1=false smspht=0 stats=true`; got != want {
 		t.Errorf("scenario key:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRunKeyFitsAMapSlot: Go's maps store a key of at most 128 bytes in
+// place; a larger key is copied to the heap on every insert, into the memo
+// and into a campaign's run table. The L2 index is a uint8.
+func TestRunKeyFitsAMapSlot(t *testing.T) {
+	if n := unsafe.Sizeof(runKey{}); n > 128 {
+		t.Errorf("runKey is %d bytes, over the 128 a map key can take in place", n)
+	}
+	if n := len(sim.AllPFs); n > 256 {
+		t.Errorf("%d L2 prefetchers do not fit runKey's uint8 index", n)
+	}
+}
+
+// TestEveryOptionIsKeyed changes each field of sim.Options, and each field
+// of its dram.Config, one at a time and to two different values, and
+// requires three different RunIDs and three different store keys: no
+// option may reach a simulation without telling its runs apart in the memo
+// and in the store. A field of a new kind fails the test until it gets its
+// perturbations here.
+func TestEveryOptionIsKeyed(t *testing.T) {
+	base := cacheTestJob(t)
+	base.Opt.L2 = sim.PFSMS // the one prefetcher whose SMSPHTEntries is keyed
+	base.Opt.SMSPHTEntries = 1 << 10
+	id, key := JobID(base), JobID(base).String()
+	var check func(v reflect.Value, path string)
+	check = func(v reflect.Value, path string) {
+		for i := range v.NumField() {
+			f, name := v.Field(i), path+"."+v.Type().Field(i).Name
+			if f.Kind() == reflect.Struct {
+				check(f, name)
+				continue
+			}
+			old := reflect.ValueOf(f.Interface())
+			ids := map[RunID]bool{id: true}
+			keys := map[string]bool{key: true}
+			for step := 1; step <= 2; step++ {
+				switch f.Kind() {
+				case reflect.Int, reflect.Int64:
+					f.SetInt(old.Int() + int64(step))
+				case reflect.Float64:
+					f.SetFloat(old.Float() + float64(step)/4)
+				case reflect.Bool:
+					f.SetBool(!old.Bool()) // the one other value, twice
+				case reflect.String:
+					f.SetString(string([]sim.PF{sim.PFSPP, sim.PFBOP}[step-1]))
+				default:
+					t.Fatalf("%s: no perturbation for kind %s", name, f.Kind())
+				}
+				ids[JobID(base)] = true
+				keys[JobID(base).String()] = true
+			}
+			f.Set(old)
+			want := 3
+			if f.Kind() == reflect.Bool {
+				want = 2
+			}
+			if len(ids) != want || len(keys) != want {
+				t.Errorf("%s: %d values made %d RunIDs and %d store keys", name, want, len(ids), len(keys))
+			}
+		}
+	}
+	check(reflect.ValueOf(&base.Opt).Elem(), "Options")
+	if JobID(base) != id {
+		t.Fatal("restoring every field did not restore the RunID")
 	}
 }
 

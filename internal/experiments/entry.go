@@ -89,7 +89,7 @@ func entryFramed(data []byte) bool {
 // anything but an intact entry for key written at the current
 // sim.ResultVersion. It allocates only the Result's own slices, each after
 // checking its count against the bytes that remain.
-func decodeEntry(data []byte, key string) (sim.Result, bool) {
+func decodeEntry(data, key []byte) (sim.Result, bool) {
 	if !entryFramed(data) {
 		return sim.Result{}, false
 	}
@@ -98,7 +98,7 @@ func decodeEntry(data []byte, key string) (sim.Result, bool) {
 		return sim.Result{}, false
 	}
 	d := entryDecoder{b: body[8:], ok: true}
-	if d.u32() != sim.ResultVersion || string(d.bytes(int(d.u32()))) != key || !d.ok {
+	if d.u32() != sim.ResultVersion || string(d.bytes(int(d.u32()))) != string(key) || !d.ok {
 		return sim.Result{}, false
 	}
 	var res sim.Result

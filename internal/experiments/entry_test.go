@@ -176,7 +176,7 @@ func roundTripStore(t *testing.T, key string, res sim.Result) sim.Result {
 func TestEntryCodecCoversEveryField(t *testing.T) {
 	want := everyField(t)
 	const key = "every-field"
-	got, ok := decodeEntry(encodeEntry(key, want), key)
+	got, ok := decodeEntry(encodeEntry(key, want), []byte(key))
 	if !ok || !sameBits(got, want) {
 		t.Fatalf("codec round trip lost fields (ok=%t):\n got %+v\nwant %+v", ok, got, want)
 	}
@@ -226,7 +226,7 @@ func TestDecodeEntryRejects(t *testing.T) {
 	const key = "k"
 	res := everyField(t)
 	good := encodeEntry(key, res)
-	if _, ok := decodeEntry(good, key); !ok {
+	if _, ok := decodeEntry(good, []byte(key)); !ok {
 		t.Fatal("intact entry rejected")
 	}
 	// Offset of the IPC count word: header, then the key.
@@ -249,22 +249,22 @@ func TestDecodeEntryRejects(t *testing.T) {
 		"json entry":      []byte(`{"result_version":4,"key":"k","result":{"Cycles":1}}`),
 	}
 	for name, data := range cases {
-		if _, ok := decodeEntry(data, key); ok {
+		if _, ok := decodeEntry(data, []byte(key)); ok {
 			t.Errorf("%s: decoded as a hit", name)
 		}
 	}
-	if _, ok := decodeEntry(good, "other key"); ok {
+	if _, ok := decodeEntry(good, []byte("other key")); ok {
 		t.Error("entry served for a different key")
 	}
 	for cut := range len(good) {
-		if _, ok := decodeEntry(good[:cut], key); ok {
+		if _, ok := decodeEntry(good[:cut], []byte(key)); ok {
 			t.Fatalf("entry truncated to %d bytes decoded as a hit", cut)
 		}
 	}
 	for i := range good {
 		b := bytes.Clone(good)
 		b[i] ^= 0x10
-		if _, ok := decodeEntry(b, key); ok {
+		if _, ok := decodeEntry(b, []byte(key)); ok {
 			t.Fatalf("entry with byte %d flipped decoded as a hit", i)
 		}
 	}
@@ -330,7 +330,7 @@ func checkDecode(t *testing.T, data []byte) {
 	key, _ := entryKey(data)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, ok := decodeEntry(data, key)
+	res, ok := decodeEntry(data, []byte(key))
 	runtime.ReadMemStats(&after)
 	// The binary fields allocate at most the bytes they occupy; the
 	// Prefetchers JSON allocates a bounded multiple of its length.
@@ -340,7 +340,7 @@ func checkDecode(t *testing.T, data []byte) {
 	if !ok {
 		return
 	}
-	again, ok := decodeEntry(encodeEntry(key, res), key)
+	again, ok := decodeEntry(encodeEntry(key, res), []byte(key))
 	if !ok || !sameBits(again, res) {
 		t.Fatalf("re-encoded entry decodes differently (ok=%t):\n got %+v\nwant %+v", ok, again, res)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,17 +32,22 @@ func SingleJob(w trace.Workload, opt sim.Options) Job {
 // and 6 share every BOP/SMS/SPP point, Figs. 12/14 and the headline share
 // the SPP and DSPatch+SPP runs, and every figure shares baselines — simulate
 // each distinct configuration exactly once per process.
+//
+// The key is at most 128 bytes, the largest key a Go map stores inline: a
+// larger one is copied to the heap on every insert into the memo (and into
+// a campaign's run table). The small fields are narrowed to fit, losslessly:
+// memoizable rejects the values a narrow field cannot hold.
 type runKey struct {
-	names      string
-	dram       dram.Config
-	llcBytes   int
-	refs       int
-	seed       int64
-	l2         sim.PF
-	noL1Stride bool
+	names    string
+	dram     dram.Config
+	llcBytes int
+	refs     int
+	seed     int64
 	// smsPHT is kept only for the one prefetcher it parameterizes, so
 	// Fig. 5's four-point sweep still shares a single baseline per workload.
-	smsPHT int
+	smsPHT     int32
+	l2         uint8 // index of the L2 prefetcher in sim.AllPFs
+	noL1Stride bool
 	// collectStats is part of the key even though it cannot change core
 	// metrics: a stats-off result carries no Prefetchers snapshot, and
 	// serving it to a stats-on request (or vice versa) would make the memo
@@ -53,7 +59,10 @@ type runKey struct {
 }
 
 // memoizable returns j's cache key. Every run is memoizable: a Result is
-// plain data, and the key covers every option that shapes it.
+// plain data, and the key covers every option that shapes it. It panics on
+// an L2 prefetcher outside sim.AllPFs or an SMS table size beyond int32,
+// neither of which the simulator could build either (sim.KnownPF checks the
+// first for untrusted input).
 func memoizable(j Job) runKey {
 	var names string // lane names joined by NUL: a lone builtin lane is its name, with no allocation
 	for i, w := range j.Workloads {
@@ -71,13 +80,13 @@ func memoizable(j Job) runKey {
 		}
 		names = name
 	}
-	l2 := j.Opt.L2
-	if l2 == "" {
-		l2 = sim.PFNone
-	}
-	smsPHT := 0
-	if l2 == sim.PFSMS {
-		smsPHT = j.Opt.SMSPHTEntries
+	l2 := pfIndex(j.Opt.L2)
+	var smsPHT int32
+	if sim.AllPFs[l2] == sim.PFSMS {
+		smsPHT = int32(j.Opt.SMSPHTEntries)
+		if int(smsPHT) != j.Opt.SMSPHTEntries {
+			panic(fmt.Sprintf("experiments: SMS PHT entries %d out of range", j.Opt.SMSPHTEntries))
+		}
 	}
 	return runKey{
 		names:          names,
@@ -85,24 +94,40 @@ func memoizable(j Job) runKey {
 		llcBytes:       j.Opt.LLCBytes,
 		refs:           j.Opt.Refs,
 		seed:           j.Opt.Seed,
+		smsPHT:         smsPHT,
 		l2:             l2,
 		noL1Stride:     j.Opt.NoL1Stride,
-		smsPHT:         smsPHT,
 		collectStats:   j.Opt.CollectStats,
 		trackPollution: j.Opt.TrackPollution,
 	}
+}
+
+// pfIndex returns p's index in sim.AllPFs; "" is PFNone, the first.
+func pfIndex(p sim.PF) uint8 {
+	if p == "" {
+		p = sim.PFNone
+	}
+	for i, q := range sim.AllPFs {
+		if p == q {
+			return uint8(i)
+		}
+	}
+	panic("experiments: unknown prefetcher " + strconv.Quote(string(p)))
 }
 
 // memoEntry computes its result once under the ownership of whichever
 // request installed it, so two distinct baselines never serialize on each
 // other and a duplicate submitted concurrently waits for the first instead of
 // re-simulating. Ownership is decided at insertion (the inserter computes,
-// everyone else waits on done), which lets the batch scheduler claim several
+// everyone else waits on ready), which lets the batch scheduler claim several
 // entries up front and fill them from one lockstep run. A canceled
 // computation records err; observers drop the entry from the memo so a later
 // request recomputes instead of inheriting the cancellation.
 type memoEntry struct {
-	done     chan struct{} // closed once res/err/panicked/in are final
+	// ready is held by the owner until res/err/panicked/in are final (see
+	// finish); waiters Wait on it.
+	ready    sync.WaitGroup
+	final    atomic.Bool // set by finish, for a check that does not wait
 	res      sim.Result
 	err      error
 	panicked any // recovered panic value; re-raised for every observer
@@ -110,6 +135,12 @@ type memoEntry struct {
 	// it reached none: a caller persisting res to the same store skips the
 	// second write (see Stored).
 	in ResultStore
+}
+
+// finish publishes e's outcome to its waiters.
+func (e *memoEntry) finish() {
+	e.final.Store(true)
+	e.ready.Done()
 }
 
 // Counters is a monotonic snapshot of the engine's work ledger. Long-running
@@ -198,14 +229,16 @@ func (r *Runner) Counters() Counters {
 	}
 }
 
-// acquire looks up (or installs) the memo entry of key. The request that
-// installs the entry owns it — it must fill res/err and close done, through
-// fill — and every later request waits on done instead.
-func (r *Runner) acquire(key runKey) (e *memoEntry, owner bool, st ResultStore) {
+// acquire looks up the memo entry of key or, when there is none, installs
+// spare, a zero entry, as it. The request that installs the entry owns it
+// — it must fill res/err and finish it, through fill — and every later
+// request waits on ready instead.
+func (r *Runner) acquire(key runKey, spare *memoEntry) (e *memoEntry, owner bool, st ResultStore) {
 	r.mu.Lock()
 	e = r.memo[key]
 	if e == nil {
-		e = &memoEntry{done: make(chan struct{})}
+		e = spare
+		e.ready.Add(1)
 		r.memo[key] = e
 		owner = true
 	}
@@ -334,8 +367,8 @@ func (f *firstError) note(err error) {
 type member struct {
 	idx int // into the call's jobs and keys
 	e   *memoEntry
-	// skey is the job's key rendered as the store key, once per run, so a
-	// miss's Get and Put share it; empty when no store is configured.
+	// skey is the store key of a job the store missed, for its Put; empty
+	// when no store is configured.
 	skey string
 }
 
@@ -351,12 +384,14 @@ type member struct {
 // so a resubmission re-simulates instead of reading a poisoned memo.
 func (r *Runner) runGroup(ctx context.Context, jobs []Job, keys []runKey, idxs []int, results []sim.Result, errs *firstError) {
 	for len(idxs) > 0 {
-		// Every member is usually owned: size that slice once per round.
+		// Every member is usually owned: size that slice, and the entries
+		// it may install, once per round.
 		owned := make([]member, 0, len(idxs))
+		spare := make([]memoEntry, len(idxs))
 		var awaited []member
 		var st ResultStore
-		for _, i := range idxs {
-			e, owner, s := r.acquire(keys[i])
+		for k, i := range idxs {
+			e, owner, s := r.acquire(keys[i], &spare[k])
 			st = s
 			if mb := (member{idx: i, e: e}); owner {
 				owned = append(owned, mb)
@@ -371,7 +406,7 @@ func (r *Runner) runGroup(ctx context.Context, jobs []Job, keys []runKey, idxs [
 		}
 		var retry []int
 		for _, mb := range awaited {
-			<-mb.e.done
+			mb.e.ready.Wait()
 			if mb.e.err == nil {
 				r.memoHits.Add(1)
 				results[mb.idx] = mb.e.res
@@ -402,14 +437,16 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, keys []ru
 	cold := owned[:0]
 	for _, mb := range owned {
 		if st != nil {
-			mb.skey = keys[mb.idx].keyString()
-			if res, ok := st.Get(mb.skey); ok {
+			var kb [keyBufLen]byte
+			key := keys[mb.idx].appendKey(kb[:0])
+			if res, ok := storeGet(st, key); ok {
 				r.diskHits.Add(1)
 				mb.e.res, mb.e.in = res, st
-				close(mb.e.done)
+				mb.e.finish()
 				results[mb.idx] = res
 				continue
 			}
+			mb.skey = string(key)
 		}
 		cold = append(cold, mb)
 	}
@@ -427,7 +464,7 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, keys []ru
 			for _, mb := range cold {
 				mb.e.panicked = p
 				mb.e.err = fmt.Errorf("simulation panicked: %v", p)
-				close(mb.e.done)
+				mb.e.finish()
 				r.dropEntry(keys[mb.idx], mb.e)
 			}
 			panic(p)
@@ -437,7 +474,7 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, keys []ru
 	if err != nil {
 		for _, mb := range cold {
 			mb.e.err = err
-			close(mb.e.done)
+			mb.e.finish()
 			r.dropEntry(keys[mb.idx], mb.e)
 			results[mb.idx] = canceledResult(jobs[mb.idx])
 		}
@@ -456,10 +493,19 @@ func (r *Runner) fill(ctx context.Context, st ResultStore, jobs []Job, keys []ru
 			mb.e.in = st
 		}
 		mb.e.res = batch[k]
-		close(mb.e.done)
+		mb.e.finish()
 		results[mb.idx] = batch[k]
 	}
 	return nil
+}
+
+// storeGet reads key's result from st. A DirStore hashes and verifies the
+// key's bytes where they are; any other store gets them as a string.
+func storeGet(st ResultStore, key []byte) (sim.Result, bool) {
+	if ds, ok := st.(*DirStore); ok {
+		return ds.get(key)
+	}
+	return st.Get(string(key))
 }
 
 // Stored reports whether the process-wide engine's memo holds id's result
@@ -480,12 +526,7 @@ func (r *Runner) stored(key runKey, st ResultStore) bool {
 	if e == nil {
 		return false
 	}
-	select {
-	case <-e.done:
-		return e.err == nil && e.in == st
-	default:
-		return false
-	}
+	return e.final.Load() && e.err == nil && e.in == st
 }
 
 // RunJobs schedules jobs on the process-shared engine — the programmatic

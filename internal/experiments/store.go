@@ -35,7 +35,8 @@ type ResultStore interface {
 // equal RunIDs are the same simulation.
 type RunID struct{ k runKey }
 
-// JobID returns j's RunID.
+// JobID returns j's RunID. Like a simulation, it panics on an L2
+// prefetcher sim.KnownPF rejects.
 func JobID(j Job) RunID { return RunID{memoizable(j)} }
 
 // String is the canonical run key: the string the disk cache hashes into a
@@ -74,16 +75,24 @@ func NewDirStore(dir string) (*DirStore, error) {
 func (s *DirStore) Dir() string { return s.dir }
 
 // PathOf returns the content address of key under the store root: the
-// first 16 bytes of the key's SHA-256 in hex, plus entryExt. The key is
-// hashed from a stack copy and the name is encoded into a fixed array, so
-// the path is the only string it allocates.
+// first 16 bytes of the key's SHA-256 in hex, plus entryExt.
 func (s *DirStore) PathOf(key string) string {
-	var buf [256]byte
-	sum := sha256.Sum256(append(buf[:0], key...))
-	var name [2*16 + len(entryExt)]byte
-	hex.Encode(name[:], sum[:16])
-	copy(name[2*16:], entryExt)
-	return s.dir + string(filepath.Separator) + string(name[:])
+	var kb [keyBufLen]byte
+	var pb [pathBufLen]byte
+	return string(s.appendPath(pb[:0], append(kb[:0], key...)))
+}
+
+// pathBufLen sizes the stack buffers entry paths are rendered into: the
+// path of a store under a directory of up to about 200 bytes fits.
+const pathBufLen = 256
+
+// appendPath appends key's content address (see PathOf) to b.
+func (s *DirStore) appendPath(b, key []byte) []byte {
+	sum := sha256.Sum256(key)
+	b = append(b, s.dir...)
+	b = append(b, filepath.Separator)
+	b = hex.AppendEncode(b, sum[:16])
+	return append(b, entryExt...)
 }
 
 // entryBufs pools Get's read buffers: an entry is decoded in place and
@@ -97,16 +106,23 @@ var entryBufs = sync.Pool{New: func() any {
 // maxPooledBuf keeps a rare large entry's buffer out of the pool.
 const maxPooledBuf = 64 << 10
 
-// Get implements ResultStore: a valid, version-matched entry or a miss. An
-// entry that fits the pooled buffer costs one open, one read and one close.
+// Get implements ResultStore: a valid, version-matched entry or a miss. A
+// hit allocates only the Result's own slices. The key is hashed and checked
+// from a stack copy, the entry's path is rendered on the stack, and the
+// entry is read into a pooled buffer, through raw system calls on Linux
+// (readEntry): one open, one read and one close for an entry that fits the
+// buffer.
 func (s *DirStore) Get(key string) (sim.Result, bool) {
-	f, err := os.Open(s.PathOf(key))
-	if err != nil {
-		return sim.Result{}, false
-	}
+	var kb [keyBufLen]byte
+	return s.get(append(kb[:0], key...))
+}
+
+// get is Get for a key already rendered as bytes: the experiment engine
+// passes its run keys straight from its stack (see storeGet).
+func (s *DirStore) get(key []byte) (sim.Result, bool) {
+	var pb [pathBufLen]byte
 	bp := entryBufs.Get().(*[]byte)
-	data, err := readEntry(f, bp)
-	f.Close()
+	data, err := readEntry(s.appendPath(pb[:0], key), bp)
 	var res sim.Result
 	ok := err == nil
 	if ok {
@@ -118,28 +134,30 @@ func (s *DirStore) Get(key string) (sim.Result, bool) {
 	return res, ok
 }
 
-// readEntry reads f whole into *bp. A read that leaves the buffer short of
-// full has reached the end of a regular file, so an entry that fits takes
-// one read; a fuller buffer grows and reads on to EOF, bounded by
-// maxEntryLen. A short read that was not the end truncates the entry, which
-// decodeEntry then rejects as a miss.
-func readEntry(f *os.File, bp *[]byte) ([]byte, error) {
+// readAll reads a file whole into *bp through read, which returns 0 bytes
+// (and nil or io.EOF) at the end of the file. A read that leaves the buffer
+// short of full has reached the end of a regular file, so an entry that
+// fits takes one read; a fuller buffer grows and reads on to the end,
+// bounded by maxEntryLen. A short read that was not the end truncates the
+// entry, which decodeEntry then rejects as a miss.
+func readAll(read func([]byte) (int, error), bp *[]byte) ([]byte, error) {
 	buf := *bp
-	n, err := f.Read(buf)
-	for n == len(buf) && err == nil {
+	n := 0
+	for {
+		m, err := read(buf[n:])
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		n += m
+		if err == io.EOF || m == 0 || n < len(buf) {
+			return buf[:n], nil
+		}
 		if len(buf) > maxEntryLen {
 			return nil, fmt.Errorf("experiments: entry exceeds %d bytes", maxEntryLen)
 		}
 		buf = append(buf, make([]byte, len(buf))...)
 		*bp = buf
-		var m int
-		m, err = f.Read(buf[n:])
-		n += m
 	}
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	return buf[:n], nil
 }
 
 // Put implements ResultStore with an atomic temp-file + rename write, so

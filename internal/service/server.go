@@ -281,6 +281,10 @@ type job struct {
 	scale *ScaleSpec      // kindExperiment
 	camp  *sweep.Campaign // kindCampaign
 	feed  *campaignFeed   // kindCampaign
+	// plan is camp as the submit handler expanded it, so execute does not
+	// expand it again; nil for a campaign resumed from its journal. execute
+	// takes it, so a finished job does not keep the points.
+	plan *sweep.Plan
 	// resumePath, when non-empty, is the unsealed journal this campaign was
 	// resurrected from at startup: execute reopens it (replaying its state)
 	// instead of creating a fresh one.
@@ -859,11 +863,18 @@ func (s *Server) execute(ctx context.Context, j *job) (result, resultStats json.
 			Resume:  resume,
 			Logf:    s.cfg.Logf,
 		}
-		var sum sweep.Summary
+		var exec sweep.Executor
 		if s.fleet != nil {
-			sum, err = eng.RunWith(ctx, *j.camp, emit, s.executeOnFleet)
-		} else {
-			sum, err = eng.Run(ctx, *j.camp, emit)
+			exec = s.executeOnFleet
+		}
+		plan := j.plan
+		j.plan = nil
+		if plan == nil {
+			plan, err = j.camp.Plan()
+		}
+		var sum sweep.Summary
+		if err == nil {
+			sum, err = eng.RunWith(ctx, plan, emit, exec)
 		}
 		if err != nil {
 			// A user cancel (or a deterministic failure) must not resurrect
@@ -1108,11 +1119,12 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	if !decodeBodyLimit(w, r, &spec, false, maxScenarioBodyBytes) {
 		return
 	}
-	if err := spec.Validate(); err != nil {
+	plan, err := spec.Plan()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	j := &job{kind: kindCampaign, camp: &spec, feed: &campaignFeed{}}
+	j := &job{kind: kindCampaign, camp: &spec, plan: plan, feed: &campaignFeed{}}
 	s.submit(w, j)
 }
 

@@ -243,15 +243,18 @@ func (c *Campaign) baselineL2() string {
 
 // point materializes grid index idx of the campaign's axes into *p, a
 // normalized Point that owns its Workloads: it never shares the spec's
-// slices.
-func (c *Campaign) point(axes []axis, idx int64, p *Point) error {
+// slices. They are appended to *lanes, the one backing of an expansion's
+// points, and capped there.
+func (c *Campaign) point(axes []axis, idx int64, p *Point, lanes *[]string) error {
 	*p = c.Base
 	for i := len(axes) - 1; i >= 0; i-- {
 		ax := axes[i]
 		ax.set(p, int(idx%int64(ax.n)))
 		idx /= int64(ax.n)
 	}
-	p.Workloads = append([]string(nil), p.Workloads...)
+	n := len(*lanes)
+	*lanes = append(*lanes, p.Workloads...)
+	p.Workloads = (*lanes)[n:len(*lanes):len(*lanes)]
 	return p.Normalize()
 }
 
@@ -317,49 +320,63 @@ func (c *Campaign) indices(axes []axis) ([]int64, error) {
 	}
 }
 
+// Plan is a validated campaign with its sampled points materialized: what
+// Engine.RunWith executes. A front end that validates a submission by
+// planning it keeps the Plan, so the campaign is expanded once.
+type Plan struct {
+	c    Campaign
+	axes []axis
+	idxs []int64 // grid index of each point
+	pts  []Point
+}
+
 // Expand validates the campaign and materializes its sampled points in
 // canonical order, returning the points alongside their grid indices.
 func (c *Campaign) Expand() ([]int64, []Point, error) {
+	p, err := c.Plan()
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.idxs, p.pts, nil
+}
+
+// Plan validates the campaign and expands it (see Expand).
+func (c *Campaign) Plan() (*Plan, error) {
 	if c.BaselineL2 != "" && !sim.KnownPF(sim.PF(c.BaselineL2)) {
-		return nil, nil, fmt.Errorf("sweep: baseline_l2: unknown prefetcher %q", c.BaselineL2)
+		return nil, fmt.Errorf("sweep: baseline_l2: unknown prefetcher %q", c.BaselineL2)
 	}
 	if len(c.Base.Scenarios) > 0 {
 		// Scenarios belong in the campaign-level block so stored point records
 		// stay spec-free and byte-identical across front ends.
-		return nil, nil, fmt.Errorf("sweep: base.scenarios is not allowed; use the campaign-level \"scenarios\" block")
+		return nil, fmt.Errorf("sweep: base.scenarios is not allowed; use the campaign-level \"scenarios\" block")
 	}
 	for i := range c.Scenarios {
 		if _, err := trace.RegisterSpec(c.Scenarios[i]); err != nil {
-			return nil, nil, fmt.Errorf("sweep: scenarios[%d]: %w", i, err)
+			return nil, fmt.Errorf("sweep: scenarios[%d]: %w", i, err)
 		}
 	}
 	if c.MaxPoints < 0 {
-		return nil, nil, fmt.Errorf("sweep: max_points must be non-negative, got %d", c.MaxPoints)
+		return nil, fmt.Errorf("sweep: max_points must be non-negative, got %d", c.MaxPoints)
 	}
 	if c.Sample.Points < 0 {
-		return nil, nil, fmt.Errorf("sweep: sample.points must be non-negative, got %d", c.Sample.Points)
+		return nil, fmt.Errorf("sweep: sample.points must be non-negative, got %d", c.Sample.Points)
 	}
 	axes := c.axes()
 	idxs, err := c.indices(axes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pts := make([]Point, len(idxs))
+	lanes := make([]string, 0, len(idxs)) // one lane a point, as a start
 	for i, idx := range idxs {
-		if err := c.point(axes, idx, &pts[i]); err != nil {
-			return nil, nil, fmt.Errorf("sweep: point %d: %w", idx, err)
+		if err := c.point(axes, idx, &pts[i], &lanes); err != nil {
+			return nil, fmt.Errorf("sweep: point %d: %w", idx, err)
 		}
 		if pts[i].TrackPollution {
 			// Pollution fractions are not part of the stream (see Metrics),
 			// so a campaign would pay for the taxonomy and drop it.
-			return nil, nil, fmt.Errorf("sweep: point %d: track_pollution is not supported in campaigns", idx)
+			return nil, fmt.Errorf("sweep: point %d: track_pollution is not supported in campaigns", idx)
 		}
 	}
-	return idxs, pts, nil
-}
-
-// Validate checks the campaign without keeping the expansion.
-func (c *Campaign) Validate() error {
-	_, _, err := c.Expand()
-	return err
+	return &Plan{c: *c, axes: axes, idxs: idxs, pts: pts}, nil
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"dspatch/internal/prefstats"
 	"dspatch/internal/sim"
 	"dspatch/internal/stats"
+	"dspatch/internal/trace"
 )
 
 // Header is the first NDJSON record of a campaign stream: the resolved shape
@@ -154,6 +156,7 @@ type Recorder struct {
 	bl   string
 	axes []axis
 
+	line      []byte // emitPoint's scratch
 	pending   []*PointRecord
 	droppedAt []string // non-empty: drop reason; flush skips the position
 	flushed   int
@@ -168,37 +171,32 @@ type Recorder struct {
 	c0    experiments.Counters
 }
 
-// NewRecorder validates and expands c, emits the campaign header, and
-// returns a Recorder ready to receive completions for positions
-// 0..Len()-1.
-func NewRecorder(c Campaign, emit func(json.RawMessage) error) (*Recorder, error) {
+// NewRecorder emits the header of p's campaign and returns a Recorder ready
+// to receive completions for positions 0..Len()-1.
+func NewRecorder(p *Plan, emit func(json.RawMessage) error) (*Recorder, error) {
 	start := time.Now()
 	c0 := experiments.EngineCounters()
-	idxs, pts, err := c.Expand()
-	if err != nil {
-		return nil, err
-	}
-	axes := c.axes()
-	grid, _ := gridSize(axes) // Expand has rejected a grid that overflows
+	grid, _ := gridSize(p.axes) // Plan has rejected a grid that overflows
 	r := &Recorder{
-		c:           c,
+		c:           p.c,
 		emit:        emit,
-		idxs:        idxs,
-		pts:         pts,
-		bl:          c.baselineL2(),
-		axes:        axes,
-		pending:     make([]*PointRecord, len(pts)),
-		droppedAt:   make([]string, len(pts)),
+		idxs:        p.idxs,
+		pts:         p.pts,
+		bl:          p.c.baselineL2(),
+		axes:        p.axes,
+		pending:     make([]*PointRecord, len(p.pts)),
+		droppedAt:   make([]string, len(p.pts)),
 		marginPools: map[string]map[string][]float64{},
+		line:        make([]byte, 0, 512), // a point record fits
 		start:       start,
 		c0:          c0,
 	}
 	if err := emitRec(emit, Header{
 		Type:       "campaign",
-		Name:       c.Name,
-		Strategy:   strategyName(c.Sample.Strategy),
+		Name:       p.c.Name,
+		Strategy:   strategyName(p.c.Sample.Strategy),
 		Grid:       grid,
-		Points:     len(pts),
+		Points:     len(p.pts),
 		BaselineL2: r.bl,
 	}); err != nil {
 		return nil, err
@@ -237,7 +235,7 @@ func (r *Recorder) Complete(pos int, self sim.Result, base *sim.Result) error {
 	if r.Resolved(pos) {
 		return nil
 	}
-	rec := &PointRecord{
+	rec := PointRecord{
 		Type:        "point",
 		Index:       r.idxs[pos],
 		Point:       r.pts[pos],
@@ -249,7 +247,14 @@ func (r *Recorder) Complete(pos int, self sim.Result, base *sim.Result) error {
 	} else {
 		rec.Speedup = sim.Speedup(*base, self)
 	}
-	r.pending[pos] = rec
+	if pos != r.flushed {
+		buffered := rec
+		r.pending[pos] = &buffered
+		return nil // an earlier position is still open
+	}
+	if err := r.record(&rec); err != nil {
+		return err
+	}
 	return r.flush()
 }
 
@@ -282,35 +287,57 @@ func (r *Recorder) flush() error {
 			return nil
 		}
 		r.pending[r.flushed] = nil
-		if rec.Baseline {
-			r.baselinePoints++
-		} else {
-			r.allRatios = append(r.allRatios, rec.Speedup...)
-			coord := r.idxs[r.flushed]
-			for a := len(r.axes) - 1; a >= 0; a-- {
-				ax := r.axes[a]
-				vi := int(coord % int64(ax.n))
-				coord /= int64(ax.n)
-				if ax.n < 2 {
-					continue
-				}
-				pool := r.marginPools[ax.name]
-				if pool == nil {
-					pool = map[string][]float64{}
-					r.marginPools[ax.name] = pool
-				}
-				pool[ax.label(vi)] = append(pool[ax.label(vi)], rec.Speedup...)
-			}
-		}
-		if len(rec.Prefetchers) > 0 {
-			r.prefStats = prefstats.Merge(r.prefStats, rec.Prefetchers)
-		}
-		if err := emitRec(r.emit, rec); err != nil {
+		if err := r.record(rec); err != nil {
 			return err
 		}
-		r.flushed++
 	}
 	return nil
+}
+
+// record aggregates rec, the record of position r.flushed, and emits it.
+func (r *Recorder) record(rec *PointRecord) error {
+	if rec.Baseline {
+		r.baselinePoints++
+	} else {
+		r.allRatios = append(r.allRatios, rec.Speedup...)
+		coord := r.idxs[r.flushed]
+		for a := len(r.axes) - 1; a >= 0; a-- {
+			ax := r.axes[a]
+			vi := int(coord % int64(ax.n))
+			coord /= int64(ax.n)
+			if ax.n < 2 {
+				continue
+			}
+			pool := r.marginPools[ax.name]
+			if pool == nil {
+				pool = map[string][]float64{}
+				r.marginPools[ax.name] = pool
+			}
+			pool[ax.label(vi)] = append(pool[ax.label(vi)], rec.Speedup...)
+		}
+	}
+	if len(rec.Prefetchers) > 0 {
+		r.prefStats = prefstats.Merge(r.prefStats, rec.Prefetchers)
+	}
+	if err := r.emitPoint(rec); err != nil {
+		return err
+	}
+	r.flushed++
+	return nil
+}
+
+// emitPoint encodes rec into the Recorder's scratch buffer and emits a copy
+// of it, which emit may keep.
+func (r *Recorder) emitPoint(rec *PointRecord) error {
+	if r.emit == nil {
+		return nil
+	}
+	line, ok := appendPointRecord(r.line[:0], rec)
+	r.line = line
+	if !ok {
+		return emitRec(r.emit, *rec) // the marshal error says what failed
+	}
+	return r.emit(bytes.Clone(line))
 }
 
 // Finish emits the summary record and returns it. Every position must have
@@ -422,17 +449,21 @@ type Executor func(ctx context.Context, rs *Runs) (*FleetSummary, error)
 // caches have never seen. A non-nil error from emit or ctx aborts the
 // campaign.
 func (e *Engine) Run(ctx context.Context, c Campaign, emit func(json.RawMessage) error) (Summary, error) {
-	return e.RunWith(ctx, c, emit, nil)
+	p, err := c.Plan()
+	if err != nil {
+		return Summary{}, err
+	}
+	return e.RunWith(ctx, p, emit, nil)
 }
 
-// RunWith is Run with the pending runs executed by exec instead of the
-// local engine — the fleet coordinator's hook. A nil exec is the local
-// engine.
-func (e *Engine) RunWith(ctx context.Context, c Campaign, emit func(json.RawMessage) error, exec Executor) (Summary, error) {
+// RunWith is Run for an expanded campaign, with the pending runs executed
+// by exec instead of the local engine — the fleet coordinator's hook. A nil
+// exec is the local engine.
+func (e *Engine) RunWith(ctx context.Context, p *Plan, emit func(json.RawMessage) error, exec Executor) (Summary, error) {
 	if (e.Journal != nil || e.Resume != nil) && e.Store == nil {
 		return Summary{}, fmt.Errorf("sweep: journaled campaign needs a result store")
 	}
-	rec, err := NewRecorder(c, emit)
+	rec, err := NewRecorder(p, emit)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -550,7 +581,8 @@ type run struct {
 	done    bool // res is final
 	durable bool // the result is in the store: a journal frame may cite it
 	waiters []int
-	inline  [2]int // waiters' first backing: most runs have one or two
+	inline  [2]int            // waiters' first backing: most runs have one or two
+	lane    [1]trace.Workload // job.Workloads' backing when it has one lane
 }
 
 // runKey is r's canonical key, the result-store key. It is rendered lazily:
@@ -600,15 +632,20 @@ func newRuns(e *Engine, rec *Recorder, groups [][]int, resolved []bool) *Runs {
 	var slab []run
 	at := make(map[experiments.RunID]*run, n)
 	add := func(p Point, pos, group int) *run {
-		job := p.Job()
-		id := experiments.JobID(job)
+		var lanes [MaxRunLanes]trace.Workload // the job's lanes while it is looked up
+		id := experiments.JobID(p.job(lanes[:len(p.Workloads)]))
 		r := at[id]
 		if r == nil {
 			if len(slab) == cap(slab) {
 				slab = make([]run, 0, min(n, runSlab))
 			}
-			slab = append(slab, run{id: id, pt: p, job: job, group: group})
+			slab = append(slab, run{id: id, pt: p, group: group})
 			r = &slab[len(slab)-1]
+			if len(p.Workloads) == 1 {
+				r.job = p.job(r.lane[:])
+			} else {
+				r.job = p.Job()
+			}
 			r.waiters = r.inline[:0]
 			at[id] = r
 			rs.pending = append(rs.pending, r)

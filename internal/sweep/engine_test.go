@@ -481,7 +481,7 @@ func TestRunWithExecutorCompletesOutOfOrderAndDrops(t *testing.T) {
 	}
 	var got []string
 	eng := Engine{Journal: jl, Store: store}
-	sum, err := eng.RunWith(context.Background(), c, func(line json.RawMessage) error {
+	sum, err := eng.RunWith(context.Background(), mustPlan(t, c), func(line json.RawMessage) error {
 		got = append(got, string(line))
 		var rec PointRecord
 		if json.Unmarshal(line, &rec) == nil && rec.Type == "point" {

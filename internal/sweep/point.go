@@ -137,7 +137,12 @@ func (p *Point) Normalize() error {
 
 // Job converts a normalized point into the experiment engine's job form.
 func (p *Point) Job() experiments.Job {
-	ws := make([]trace.Workload, len(p.Workloads))
+	return p.job(make([]trace.Workload, len(p.Workloads)))
+}
+
+// job is Job with the point's lanes resolved into ws, which must be
+// len(p.Workloads) long.
+func (p *Point) job(ws []trace.Workload) experiments.Job {
 	for i, name := range p.Workloads {
 		ws[i], _ = trace.ByName(name)
 	}

@@ -10,6 +10,16 @@ import (
 	"dspatch/internal/sim"
 )
 
+// mustPlan returns c's plan, failing the test on an error.
+func mustPlan(t *testing.T, c Campaign) *Plan {
+	t.Helper()
+	p, err := c.Plan()
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	return p
+}
+
 // recorderCampaign is a distinct spec (refs=659) so memo cross-talk with
 // other tests can't mask a simulation.
 func recorderCampaign() Campaign {
@@ -42,7 +52,7 @@ func TestRecorderOutOfOrderMatchesEngine(t *testing.T) {
 	want := collect(t, Engine{Workers: 2}, c)
 
 	var got []string
-	rec, err := NewRecorder(c, func(line json.RawMessage) error {
+	rec, err := NewRecorder(mustPlan(t, c), func(line json.RawMessage) error {
 		got = append(got, string(line))
 		return nil
 	})
@@ -84,7 +94,7 @@ func TestRecorderOutOfOrderMatchesEngine(t *testing.T) {
 func TestRecorderDropAccounting(t *testing.T) {
 	c := recorderCampaign()
 	var lines []string
-	rec, err := NewRecorder(c, func(line json.RawMessage) error {
+	rec, err := NewRecorder(mustPlan(t, c), func(line json.RawMessage) error {
 		lines = append(lines, string(line))
 		return nil
 	})
@@ -151,7 +161,7 @@ func TestRecorderDropAccounting(t *testing.T) {
 // TestRecorderFinishRefusesUnresolved ensures a wedged run can't silently
 // lose points: Finish fails loudly while positions are unaccounted for.
 func TestRecorderFinishRefusesUnresolved(t *testing.T) {
-	rec, err := NewRecorder(recorderCampaign(), nil)
+	rec, err := NewRecorder(mustPlan(t, recorderCampaign()), nil)
 	if err != nil {
 		t.Fatalf("NewRecorder: %v", err)
 	}
@@ -170,7 +180,7 @@ func TestRecorderFinishRefusesUnresolved(t *testing.T) {
 func TestRecorderResolutionIsFinal(t *testing.T) {
 	c := recorderCampaign()
 	var lines []string
-	rec, err := NewRecorder(c, func(line json.RawMessage) error {
+	rec, err := NewRecorder(mustPlan(t, c), func(line json.RawMessage) error {
 		lines = append(lines, string(line))
 		return nil
 	})

@@ -38,13 +38,13 @@ func TestCampaignInlineScenarios(t *testing.T) {
 	}
 	// Idempotent: re-validating (the service does this on submission, then
 	// again when the job runs) must not conflict with itself.
-	if err := c.Validate(); err != nil {
+	if _, err := c.Plan(); err != nil {
 		t.Fatalf("re-Validate: %v", err)
 	}
 	// A second campaign redefining the name differently must be rejected.
 	c2 := c
 	c2.Scenarios = []trace.ScenarioSpec{listSpec("camp-inline-chase", 4096)}
-	if err := c2.Validate(); err == nil || !strings.Contains(err.Error(), "conflicts") {
+	if _, err := c2.Plan(); err == nil || !strings.Contains(err.Error(), "conflicts") {
 		t.Fatalf("redefinition error = %v", err)
 	}
 }
@@ -57,7 +57,7 @@ func TestCampaignRejectsBaseScenarios(t *testing.T) {
 			Scenarios: []trace.ScenarioSpec{listSpec("base-chase", 1024)},
 		},
 	}
-	err := c.Validate()
+	_, err := c.Plan()
 	if err == nil || !strings.Contains(err.Error(), "base.scenarios") {
 		t.Fatalf("error = %v, want base.scenarios rejection", err)
 	}

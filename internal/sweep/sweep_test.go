@@ -95,9 +95,9 @@ func TestExpandValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.c.Validate()
+			_, err := tc.c.Plan()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Validate() = %v, want error containing %q", err, tc.want)
+				t.Errorf("Plan() = %v, want error containing %q", err, tc.want)
 			}
 		})
 	}
